@@ -18,6 +18,12 @@ import os
 import pytest
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "fuzz: hypothesis-driven differential tests (small budget in tier-1)"
+    )
+
+
 @pytest.fixture(scope="session", autouse=True)
 def _hermetic_artifact_store(tmp_path_factory):
     # presence check, not truthiness: an empty value is the documented way

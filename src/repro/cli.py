@@ -236,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cluster.add_argument(
         "--backend", choices=("fast", "reference"), default="fast",
-        help="chunked-arrival fast backend or the per-event reference loop"
-        " (bit-identical results)",
+        help="columnar fast rails (falling back to the event loop when none"
+        " applies) or the per-event reference loop (bit-identical results)",
     )
     p_cluster.add_argument(
         "--record-requests", type=int, default=None,

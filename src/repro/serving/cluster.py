@@ -266,11 +266,11 @@ class ClusterConfig:
     shed_queue_s: float | None = None
     #: goodput deadline recorded on the result (``None``: any completion).
     deadline_s: float | None = None
-    #: ``"fast"`` advances arrivals in chunks over the trace columns (no
-    #: per-arrival heap events, no ``Request`` list); ``"reference"`` pushes
-    #: every arrival through the event heap.  Results are bit-identical —
-    #: arrivals are the only priority-2 events, so a cursor merged against
-    #: the heap head preserves the exact event order.
+    #: ``"fast"`` serves the run on a columnar rail (see
+    #: :mod:`repro.serving.columnar_cluster`) when one covers the config and
+    #: otherwise falls back to the event loop, recording why;
+    #: ``"reference"`` always runs the event loop.  Results are
+    #: bit-identical either way.
     backend: str = "fast"
     #: cap on materialized records (cluster-level and per-replica); ``None``
     #: keeps full record lists.  See :attr:`ServingConfig.record_requests`.
@@ -580,7 +580,6 @@ class ClusterRouter:
             return apply_static_lifecycle(result)
         arrival_times = trace.arrival_column().tolist()
         request_ids = trace.id_column().tolist()
-        decode_counts = trace.decode_column().tolist()
 
         replicas = [
             _Replica(
@@ -654,14 +653,8 @@ class ClusterRouter:
         def push(time_s: float, prio: int, kind: str, payload: object) -> None:
             heapq.heappush(heap, (time_s, prio, next(seq), kind, payload))
 
-        # the fast backend keeps arrivals in their trace columns and merges a
-        # cursor against the heap head in the drain loop; the reference
-        # backend materializes every arrival as a heap event up front.
-        chunked_arrivals = config.backend == "fast"
-        arrive_index = 0
-        if not chunked_arrivals:
-            for request in trace.requests:
-                push(request.arrival_s, _PRIO_ARRIVE, "arrive", request)
+        for request in trace.requests:
+            push(request.arrival_s, _PRIO_ARRIVE, "arrive", request)
         for t in injector.transitions():
             push(t, _PRIO_FAULT, "fault", None)
 
@@ -1154,8 +1147,6 @@ class ClusterRouter:
             candidates: list[float] = []
             if heap:
                 candidates.append(heap[0][0])
-            if chunked_arrivals and arrive_index < total:
-                candidates.append(arrival_times[arrive_index])
             for replica in replicas:
                 if replica.down or not replica.online:
                     continue
@@ -1169,33 +1160,7 @@ class ClusterRouter:
             if advance_to <= now:
                 raise stall(f"next event at {advance_to} does not advance the clock")
             now = advance_to
-            while True:
-                # merge the arrival cursor against the heap head: arrivals
-                # are the only _PRIO_ARRIVE events, so comparing (time, prio)
-                # reproduces the reference heap's exact processing order
-                # (equal-time arrivals fire in trace order, like heap seq).
-                if chunked_arrivals and arrive_index < total:
-                    arrival_s = arrival_times[arrive_index]
-                    if arrival_s <= now and (
-                        not heap
-                        or (arrival_s, _PRIO_ARRIVE) < (heap[0][0], heap[0][1])
-                    ):
-                        turns += 1
-                        if turns > max_turns:
-                            raise stall(
-                                f"no progress after {max_turns} event turns"
-                            )
-                        request = Request(
-                            request_id=request_ids[arrive_index],
-                            arrival_s=arrival_s,
-                            decode_steps=decode_counts[arrive_index],
-                        )
-                        arrive_index += 1
-                        arrivals_left -= 1
-                        on_arrival(request, now)
-                        continue
-                if not heap or heap[0][0] > now:
-                    break
+            while heap and heap[0][0] <= now:
                 _, _, _, kind, payload = heapq.heappop(heap)
                 if kind == "scale-eval":
                     # controller turns strictly advance time (one future

@@ -1,17 +1,18 @@
-"""Columnar fast path for the multi-replica cluster router.
+"""Columnar rails for the multi-replica cluster router.
 
-``backend="fast"`` on a :class:`~repro.serving.cluster.ClusterConfig` already
-advances arrivals in chunks; this module removes the per-event Python heap
-entirely on the **no-fault / no-retry / no-hedge rail**:
+On ``backend="fast"`` a :class:`~repro.serving.cluster.ClusterConfig` that
+one of these rails covers never builds the reference router's per-event
+heap.  The **no-fault / no-retry / no-hedge rail** (:func:`run_fast_cluster`)
+works in three passes:
 
 1. **Routing pass** — admission decisions are computed in columns.
    Round-robin without shedding is closed form (``i mod R``: the cursor
    advances once per arrival, shed or not).  Least-loaded, power-of-two, and
    any shedding configuration replay the scalar router's
    :meth:`~repro.serving.cluster._Replica.est_delay_s` against per-replica
-   *virtual clock machines*: tiny recurrences over (host_free, accel_free,
-   pending decode steps) that replay each scheduler's launch times without
-   scheduler objects, ``Request`` objects, or heap events.
+   :class:`_Machine` virtual clocks: recurrences over (host_free,
+   accel_free, pending decode steps) that replay each scheduler's launch
+   times without scheduler objects, ``Request`` objects, or heap events.
 2. **Serving pass** — each replica's admitted sub-stream is a column slice
    of the trace, fed through the existing per-scheduler columnar kernels of
    :mod:`repro.serving.columnar`.  The only cluster-specific wrinkle is the
@@ -24,18 +25,21 @@ entirely on the **no-fault / no-retry / no-hedge rail**:
    to ``backend="reference"``: same ``ClusterResult``, same float
    accumulations, same capped/streaming blocks.
 
-Two rails share the module.  The closed forms above serve the
-**no-fault / no-retry** case; fault schedules that actually perturb the run
-(crash / accel-loss / straggler windows) and timeout retries ride the
-**fault-capable replay** (:func:`run_fast_faulted`): a minimal event heap
-holding only fault transitions and retry timers, per-replica
-:class:`_SimReplica` machines that launch lazily, and lazily-resolved
-completions, with all accounting folded vectorized at assembly.
+Two rails share one replica machine.  :class:`_Machine` holds the queue
+columns, the next-launch rule, the launch recurrence, and the delay
+estimate; the routing pass above runs on it as is.  Fault schedules that
+actually perturb the run (crash / accel-loss / straggler windows) and
+timeout retries ride the **fault-capable replay** (:func:`run_fast_faulted`):
+a minimal event heap holding only fault transitions and retry timers, and
+one :class:`_SimReplica` per replica — the same machine plus straggler
+multipliers, the accel-loss table swap, crashes, a dispatch log, and lazily
+resolved completions — with all accounting folded vectorized at assembly.
+Both rails hand their per-request columns to one cluster-record assembly.
 :func:`fast_path_fallback_reason` names the only remaining fallback
-conditions — hedged dispatch and custom registered policies/schedulers —
-and :meth:`~repro.serving.cluster.ClusterRouter.run` falls back to the
-reference event loop automatically (silently, with the reason recorded on
-the result).
+conditions — autoscaling, hedged dispatch, and custom registered
+policies/schedulers — and :meth:`~repro.serving.cluster.ClusterRouter.run`
+falls back to the reference event loop automatically (silently, with the
+reason recorded on the result).
 
 Why launch times are a recurrence: the reference loop runs one decision
 pass per distinct event time, *after* draining that time's arrivals, and a
@@ -126,16 +130,6 @@ def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
     return None
 
 
-def supports_fast_path(config, injector, policy, scheduler) -> bool:
-    """Does *some* columnar rail serve this cluster run?
-
-    ``injector`` is accepted for signature stability but no longer matters:
-    fault schedules (windows, stragglers) and timeout retries run on the
-    fault-capable replay rather than falling back.
-    """
-    del injector
-    return fast_path_fallback_reason(config, policy, scheduler) is None
-
 
 def needs_faulted_path(config, injector) -> bool:
     """Does this run need the event-replaying faulted rail (vs the closed
@@ -146,7 +140,7 @@ def needs_faulted_path(config, injector) -> bool:
     return config.timeout_s is not None or injector.schedule.perturbs
 
 
-# -- routing pass -------------------------------------------------------------
+# -- the replica machine ------------------------------------------------------
 
 
 class _Machine:
@@ -154,12 +148,17 @@ class _Machine:
     estimates without a scheduler object or heap events.
 
     State is exactly what :meth:`_Replica.est_delay_s` reads — ``host_free``,
-    the per-device ``accel_free`` horizon, and the scheduler's pending decode
-    steps — plus the admitted queue (admit time, steps) and, for continuous
-    batching, the in-flight remaining-step list.  ``advance(T)`` executes
-    every launch decided strictly before ``T`` with the reference launch
-    arithmetic verbatim, so a delay probe at an arrival time sees the same
-    registers as the scalar router's policy does.
+    the per-device ``accel_free`` horizon, the scheduler's pending decode
+    steps, and the batch-1 latency of the active cost table — plus the
+    admitted queue (admit time, steps, trace position), the in-flight
+    positions and remaining steps of continuous batching, and ``flush_at``.
+    ``advance(T)`` executes every launch decided strictly before ``T`` with
+    the reference launch arithmetic verbatim, so a delay probe at an arrival
+    time sees the same registers as the scalar router's policy does.
+
+    The routing pass runs on this class as is; :class:`_SimReplica` adds
+    faults and bookkeeping through two per-launch hooks,
+    :meth:`_multiplier` and :meth:`_record`.
     """
 
     __slots__ = (
@@ -167,16 +166,19 @@ class _Machine:
         "kind",
         "max_batch",
         "max_wait_s",
-        "_cost",
-        "unit_total_s",
+        "active",
+        "_unit_s",
         "host_free",
         "ready_s",
         "accel_free",
         "pending_steps",
         "q_admit",
         "q_steps",
+        "q_pos",
         "head",
-        "flight",
+        "flight_pos",
+        "flight_rem",
+        "flush_at",
     )
 
     def __init__(self, index: int, engine, kind: str, max_batch: int, max_wait_s: float):
@@ -184,17 +186,25 @@ class _Machine:
         self.kind = kind
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
-        table = engine.costs.cost_table(max_batch)
-        self._cost = table.row  # dense column lookup, shared with the kernels
-        self.unit_total_s = table.row(1).total_s
+        #: the dense cost table launches price against (shared with the
+        #: kernels); ``_unit_s`` caches its batch-1 latency.
+        self.active = engine.costs.cost_table(max_batch)
+        self._unit_s: "float | None" = None
         self.host_free = 0.0
         self.ready_s = 0.0
         self.accel_free: dict = {}
         self.pending_steps = 0
         self.q_admit: list[float] = []
         self.q_steps: list[int] = []
+        self.q_pos: list[int] = []
         self.head = 0
-        self.flight: list[int] = []
+        self.flight_pos: list[int] = []
+        self.flight_rem: list[int] = []
+        #: set to the last arrival time once the trace drains: static/dynamic
+        #: partial batches flush from then on (the reference's
+        #: ``arrivals_pending`` turning false).  The routing pass never
+        #: drains the stream, so there it stays ``None``.
+        self.flush_at: "float | None" = None
 
     def est_delay_s(self, now: float) -> float:
         """Verbatim :meth:`_Replica.est_delay_s` over the machine registers."""
@@ -202,20 +212,30 @@ class _Machine:
         for t in self.accel_free.values():
             if t > horizon:
                 horizon = t
-        backlog = self.pending_steps * self.unit_total_s
+        # row(1) on the *active* table: lazily priced exactly when the
+        # reference's unit_latency_s() would first price it, then cached
+        # until the active table swaps (probing policies call this for
+        # every candidate on every arrival).
+        unit = self._unit_s
+        if unit is None:
+            unit = self._unit_s = self.active.row(1).total_s
+        backlog = self.pending_steps * unit
         delay = horizon - now
         if delay < 0.0:
             delay = 0.0
         return delay + backlog
 
-    def admit(self, when: float, steps: int) -> None:
+    def admit(self, when: float, steps: int, pos: int) -> None:
         self.advance(when)
         self.q_admit.append(when)
         self.q_steps.append(steps)
+        self.q_pos.append(pos)
         self.pending_steps += steps
 
     def advance(self, until: float) -> None:
         """Execute every launch decided strictly before ``until``."""
+        if self.head == len(self.q_admit) and not self.flight_pos:
+            return  # nothing queued or in flight: no launch can be pending
         while True:
             t = self._next_launch()
             if t is None or t >= until:
@@ -225,7 +245,7 @@ class _Machine:
     def _next_launch(self) -> "float | None":
         kind = self.kind
         if kind == "continuous":
-            if self.flight:
+            if self.flight_pos:
                 return self.ready_s
             if self.head < len(self.q_admit):
                 a = self.q_admit[self.head]
@@ -240,81 +260,121 @@ class _Machine:
         if qlen >= self.max_batch:
             a = self.q_admit[self.head + self.max_batch - 1]
             return a if a > self.host_free else self.host_free
+        flush_at = self.flush_at
+        if flush_at is not None:
+            # arrivals drained: partial batches dispatch at the first decide
+            # pass, for static and dynamic alike (the deadline rule is gone).
+            t = self.q_admit[self.head]
+            if flush_at > t:
+                t = flush_at
+            return t if t > self.host_free else self.host_free
         if kind == "dynamic":
             d = self.q_admit[self.head] + self.max_wait_s
             return d if d > self.host_free else self.host_free
         # static partial batches flush only once the *global* arrival stream
-        # is exhausted — which never happens while requests are still routing.
+        # is exhausted.
         return None
 
     def _launch(self, t: float) -> None:
         kind = self.kind
+        multiplier = self._multiplier()
+        start = t if t > self.host_free else self.host_free
         if kind == "continuous":
-            flight = self.flight
-            free = self.max_batch - len(flight)
+            free = self.max_batch - len(self.flight_pos)
             if free > 0:
                 qlen = len(self.q_admit) - self.head
                 take = free if free < qlen else qlen
                 if take:
                     stop = self.head + take
-                    flight.extend(self.q_steps[self.head : stop])
+                    self.flight_pos.extend(self.q_pos[self.head : stop])
+                    self.flight_rem.extend(self.q_steps[self.head : stop])
                     self.head = stop
-            size = len(flight)
-            end = self._iterate(self._cost(size), t, 1)
-            self.flight = [rem - 1 for rem in flight if rem != 1]
+            members = self.flight_pos
+            size = len(members)
+            iterations = 1
+            end = self._iterate(self.active.row(size), start, 1, multiplier)
+            completes: list[int] = []
+            keep_pos: list[int] = []
+            keep_rem: list[int] = []
+            for pos, rem in zip(members, self.flight_rem):
+                if rem == 1:
+                    completes.append(pos)
+                else:
+                    keep_pos.append(pos)
+                    keep_rem.append(rem - 1)
+            self.flight_pos = keep_pos
+            self.flight_rem = keep_rem
             self.pending_steps -= size
             self.ready_s = end  # barrier
         elif kind == "fifo":
-            steps = self.q_steps[self.head]
+            pos = self.q_pos[self.head]
+            iterations = self.q_steps[self.head]
             self.head += 1
-            end = self._iterate(self._cost(1), t, steps)
-            self.pending_steps -= steps
+            size = 1
+            members = completes = (pos,)
+            end = self._iterate(self.active.row(1), start, iterations, multiplier)
+            self.pending_steps -= iterations
             self.ready_s = end  # barrier
         else:  # static / dynamic full-or-flush batch
             qlen = len(self.q_admit) - self.head
             size = qlen if qlen < self.max_batch else self.max_batch
             stop = self.head + size
-            members = self.q_steps[self.head : stop]
+            members = completes = self.q_pos[self.head : stop]
+            steps = self.q_steps[self.head : stop]
             self.head = stop
-            self._iterate(self._cost(size), t, max(members))
-            self.pending_steps -= sum(members)
+            iterations = max(steps)
+            end = self._iterate(self.active.row(size), start, iterations, multiplier)
+            self.pending_steps -= sum(steps)
             # non-barrier: ready is max(when, host_free), and host_free has
             # just advanced past the dispatch start.
             self.ready_s = t if t > self.host_free else self.host_free
+        self._record(start, end, size, iterations, multiplier, members, completes)
         if self.head >= 8192:  # amortized queue compaction
             del self.q_admit[: self.head]
             del self.q_steps[: self.head]
+            del self.q_pos[: self.head]
             self.head = 0
 
-    def _iterate(self, cost, when: float, iterations: int) -> float:
-        """The reference ``launch()`` occupancy arithmetic, verbatim
-        (straggler multiplier omitted: it is exactly 1.0 on this rail)."""
-        start = when if when > self.host_free else self.host_free
+    def _multiplier(self) -> float:
+        """Straggler multiplier for the next launch (exactly 1.0 here)."""
+        return 1.0
+
+    def _record(self, start, end, size, iterations, multiplier, members, completes) -> None:
+        """Per-launch bookkeeping hook; the routing pass keeps none."""
+
+    def _iterate(self, cost, start: float, iterations: int, multiplier: float) -> float:
+        """The reference ``launch()`` occupancy arithmetic, verbatim,
+        straggler multiplier included (1.0 stays bit-exact)."""
+        host_s = cost.host_s * multiplier
+        accel_s = cost.accel_s * multiplier
+        total_s = cost.total_s * multiplier
         cursor = start
         if cost.has_accel:
-            host_s = cost.host_s
-            accel_s = cost.accel_s
-            total_s = cost.total_s
             target = cost.target
-            accel_free = self.accel_free
+            # one dict read/write per dispatch, not per iteration: only this
+            # target's free time and the host cursor evolve inside the loop.
+            accel_start = self.accel_free.get(target, 0.0)
+            host_end = cursor
             for _ in range(iterations):
                 host_end = cursor + host_s
-                accel_start = accel_free.get(target, 0.0)
                 if accel_start < host_end:
                     accel_start = host_end
                 if accel_start == host_end:
                     end = cursor + total_s
                 else:
                     end = accel_start + accel_s
-                accel_free[target] = end
-                self.host_free = host_end
+                accel_start = end
                 cursor = end
+            self.accel_free[target] = accel_start
+            self.host_free = host_end
         else:
-            total_s = cost.total_s
             for _ in range(iterations):
-                cursor += total_s
+                cursor = cursor + total_s
             self.host_free = cursor
         return cursor
+
+
+# -- routing pass -------------------------------------------------------------
 
 
 def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
@@ -350,7 +410,7 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
             if chosen.est_delay_s(when) > shed_s:
                 assigned[i] = -1
                 continue
-            chosen.admit(when, steps[i])
+            chosen.admit(when, steps[i], i)
             assigned[i] = chosen.index
     elif type(policy) is LeastLoadedPolicy:
         for i in range(n):
@@ -368,7 +428,7 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
             if shed_s is not None and chosen_delay > shed_s:
                 assigned[i] = -1
                 continue
-            chosen.admit(when, steps[i])
+            chosen.admit(when, steps[i], i)
             assigned[i] = chosen.index
     else:  # power-of-two-choices
         for i in range(n):
@@ -391,7 +451,7 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
             if shed_s is not None and chosen.est_delay_s(when) > shed_s:
                 assigned[i] = -1
                 continue
-            chosen.admit(when, steps[i])
+            chosen.admit(when, steps[i], i)
             assigned[i] = chosen.index
     return assigned
 
@@ -485,6 +545,75 @@ def _serve_replica(
     return result, run.completion
 
 
+# -- cluster assembly ---------------------------------------------------------
+
+#: per-request status codes of the rails' status columns.
+_PENDING = 0
+_ST_OK = 1
+_ST_SHED = 2
+_ST_FAILED = 3
+_STATUS_NAMES = {_ST_OK: REQUEST_OK, _ST_SHED: REQUEST_SHED, _ST_FAILED: REQUEST_FAILED}
+
+
+def _assemble_cluster(
+    result: ClusterResult, config, trace: RequestTrace, status, completion, replica, attempts
+) -> ClusterResult:
+    """Fill the cluster-level counters, records and capped stats of
+    ``result`` from per-request columns in trace order.
+
+    ``status`` holds the ``_ST_*`` codes, ``completion`` the completion
+    times (read only where the status is ``_ST_OK``), ``replica`` the
+    replica that served each request (``-1``: none) and ``attempts`` its
+    admission count.  With ``record_requests`` set this is
+    metrics.cap_cluster_result's counters and streaming block, fed from
+    columns — the full record list is never materialized.
+    """
+    n = trace.num_requests
+    arrivals = trace.arrival_column()
+    ok = status == _ST_OK
+    result.num_shed = int((status == _ST_SHED).sum())
+    result.num_failed = int((status == _ST_FAILED).sum())
+    latencies = completion[ok] - arrivals[ok]
+    if latencies.size:
+        result.makespan_s = float(completion[ok].max()) - float(arrivals[0])
+    cap = config.record_requests
+    if cap is None:
+        keep = np.arange(n, dtype=np.int64)
+    else:
+        result.stats = streaming_stats(latencies)
+        result.num_requests_total = n
+        result.num_completed = int(latencies.size)
+        if config.deadline_s is None:
+            result.num_good = int(latencies.size)
+        else:
+            result.num_good = int((latencies <= config.deadline_s).sum())
+        result.record_cap = cap
+        keep = sample_record_indices(n, cap)
+    result.records = [
+        ClusterRequestRecord(
+            request_id,
+            arrival_s,
+            completion_s if code == _ST_OK else None,
+            _STATUS_NAMES[code],
+            replica_index,
+            tries,
+            False,
+            False,
+        )
+        for request_id, arrival_s, code, completion_s, replica_index, tries in zip(
+            trace.id_column()[keep].tolist(),
+            arrivals[keep].tolist(),
+            status[keep].tolist(),
+            completion[keep].tolist(),
+            replica[keep].tolist(),
+            attempts[keep].tolist(),
+        )
+    ]
+    # the columnar rails only serve fixed fleets (autoscale falls back),
+    # so the lifecycle fields are the static single-step form.
+    return apply_static_lifecycle(result)
+
+
 # -- entry point --------------------------------------------------------------
 
 
@@ -494,8 +623,9 @@ def run_fast_cluster(
     """Serve ``trace`` through the fleet on the columnar rail.
 
     ``result`` is the pre-populated :class:`ClusterResult` shell from
-    :meth:`ClusterRouter.run`; the caller has already verified
-    :func:`supports_fast_path`.  Bit-identical to the reference event loop.
+    :meth:`ClusterRouter.run`; the caller has already checked
+    :func:`fast_path_fallback_reason`.  Bit-identical to the reference
+    event loop.
     """
     config = router.config
     engines = router.engines
@@ -525,55 +655,16 @@ def run_fast_cluster(
         result.replicas.append(replica_result)
         completion_all[indices] = completions
 
-    ok_mask = assigned >= 0
-    num_ok = int(ok_mask.sum())
-    result.num_shed = n - num_ok
-    if num_ok:
-        result.makespan_s = float(completion_all[ok_mask].max()) - float(arrivals[0])
-
-    cap = config.record_requests
-    if cap is None:
-        keep = np.arange(n, dtype=np.int64)
-    else:
-        # metrics.cap_cluster_result's counters and streaming block, fed
-        # from columns (trace order, completed requests only) — the full
-        # record list is never materialized.
-        latencies = completion_all[ok_mask] - arrivals[ok_mask]
-        result.stats = streaming_stats(latencies)
-        result.num_requests_total = n
-        result.num_completed = num_ok
-        if config.deadline_s is None:
-            result.num_good = num_ok
-        else:
-            result.num_good = int((latencies <= config.deadline_s).sum())
-        result.record_cap = cap
-        keep = sample_record_indices(n, cap)
-
-    ids_kept = trace.id_column()[keep].tolist()
-    arrivals_kept = arrivals[keep].tolist()
-    replicas_kept = assigned[keep].tolist()
-    completions_kept = completion_all[keep].tolist()
-    records = []
-    for request_id, arrival_s, replica, completion_s in zip(
-        ids_kept, arrivals_kept, replicas_kept, completions_kept
-    ):
-        if replica < 0:
-            records.append(
-                ClusterRequestRecord(
-                    request_id, arrival_s, None, REQUEST_SHED, -1, 0, False, False
-                )
-            )
-        else:
-            records.append(
-                ClusterRequestRecord(
-                    request_id, arrival_s, completion_s, REQUEST_OK, replica,
-                    1, False, False,
-                )
-            )
-    result.records = records
-    # the columnar rails only serve fixed fleets (autoscale falls back),
-    # so the lifecycle fields are the static single-step form.
-    return apply_static_lifecycle(result)
+    served = assigned >= 0
+    return _assemble_cluster(
+        result,
+        config,
+        trace,
+        np.where(served, _ST_OK, _ST_SHED),
+        completion_all,
+        assigned,
+        served.astype(np.int64),
+    )
 
 
 # -- fault-capable replay (Route B) -------------------------------------------
@@ -593,19 +684,12 @@ _PRIO_FAULT = 0
 _PRIO_ARRIVE = 2
 _PRIO_RETRY = 3
 
-_PENDING = 0
-_ST_OK = 1
-_ST_SHED = 2
-_ST_FAILED = 3
-_STATUS_NAMES = {_ST_OK: REQUEST_OK, _ST_SHED: REQUEST_SHED, _ST_FAILED: REQUEST_FAILED}
-
-
-class _SimReplica:
-    """Virtual replica for the faulted rail: the routing machines of
-    :class:`_Machine` extended with everything faults and retries touch —
-    straggler multipliers, the accel-loss cost-table swap, crash resets,
-    queued-copy cancellation, the post-drain flush rule, and per-request
-    bookkeeping (admit times, first starts, depth samples, dispatch log).
+class _SimReplica(_Machine):
+    """Replica machine for the faulted rail: the shared :class:`_Machine`
+    plus what faults and retries touch — straggler multipliers, the
+    accel-loss cost-table swap, crash resets, queued-copy cancellation, and
+    per-request bookkeeping (admit times, first starts, depth samples,
+    dispatch log, completion resolution).
 
     The dispatch log is columnar (parallel ``log_*`` lists, one entry per
     launch) holding only the fold *inputs* — end time, size, iterations,
@@ -624,31 +708,14 @@ class _SimReplica:
     """
 
     __slots__ = (
-        "index",
-        "kind",
-        "max_batch",
-        "max_wait_s",
         "engine",
         "cache",
         "injector",
         "table",
         "fallback_table",
-        "active",
-        "_unit_s",
         "down",
         "accel_down",
         "has_crash",
-        "host_free",
-        "ready_s",
-        "accel_free",
-        "pending_steps",
-        "q_admit",
-        "q_steps",
-        "q_pos",
-        "head",
-        "flight_pos",
-        "flight_rem",
-        "flush_at",
         "starts",
         "admitted",
         "depth_samples",
@@ -671,36 +738,17 @@ class _SimReplica:
         self, index, engine, kind, max_batch, max_wait_s, injector, cache,
         has_crash, started, live_end, status, completion, winner,
     ):
-        self.index = index
-        self.kind = kind
-        self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
+        super().__init__(index, engine, kind, max_batch, max_wait_s)
         self.engine = engine
         self.cache = cache
         self.injector = injector
-        self.table = engine.costs.cost_table(max_batch)
+        self.table = self.active
         self.fallback_table = None
-        self.active = self.table
-        self._unit_s: "float | None" = None
         self.down = False
         self.accel_down = False
         #: does the schedule ever crash this replica?  Gates the open-record
         #: list so fault-free replicas pay nothing for crash bookkeeping.
         self.has_crash = has_crash
-        self.host_free = 0.0
-        self.ready_s = 0.0
-        self.accel_free: dict = {}
-        self.pending_steps = 0
-        self.q_admit: list[float] = []
-        self.q_steps: list[int] = []
-        self.q_pos: list[int] = []
-        self.head = 0
-        self.flight_pos: list[int] = []
-        self.flight_rem: list[int] = []
-        #: set to the last arrival time once the trace drains: static/dynamic
-        #: partial batches flush from then on (the reference's
-        #: ``arrivals_pending`` turning false).
-        self.flush_at: "float | None" = None
         self.starts: dict[int, float] = {}
         self.admitted: dict[int, float] = {}
         self.depth_samples: list[tuple[float, int]] = []
@@ -722,34 +770,10 @@ class _SimReplica:
         self.completion = completion
         self.winner = winner
 
-    # -- probes (verbatim _Replica arithmetic) ----------------------------
-
-    def est_delay_s(self, now: float) -> float:
-        horizon = self.host_free
-        for t in self.accel_free.values():
-            if t > horizon:
-                horizon = t
-        # row(1) on the *active* table: lazily priced exactly when the
-        # reference's unit_latency_s() would first price it, then cached
-        # until the active table swaps (probing policies call this for
-        # every candidate on every arrival).
-        unit = self._unit_s
-        if unit is None:
-            unit = self._unit_s = self.active.row(1).total_s
-        backlog = self.pending_steps * unit
-        delay = horizon - now
-        if delay < 0.0:
-            delay = 0.0
-        return delay + backlog
-
     # -- admission / cancellation -----------------------------------------
 
     def admit(self, when: float, steps: int, pos: int) -> None:
-        self.advance(when)
-        self.q_admit.append(when)
-        self.q_steps.append(steps)
-        self.q_pos.append(pos)
-        self.pending_steps += steps
+        super().admit(when, steps, pos)
         self.admitted[pos] = when
         self.depth_samples.append((when, len(self.q_admit) - self.head))
 
@@ -814,100 +838,12 @@ class _SimReplica:
         self.ready_s = when
         return lost_now
 
-    # -- the launch recurrence ---------------------------------------------
+    # -- per-launch hooks ----------------------------------------------------
 
-    def advance(self, until: float) -> None:
-        """Execute every launch decided strictly before ``until``."""
-        if self.head == len(self.q_admit) and not self.flight_pos:
-            return  # nothing queued or in flight: no launch can be pending
-        while True:
-            t = self._next_launch()
-            if t is None or t >= until:
-                return
-            self._launch(t)
+    def _multiplier(self) -> float:
+        return self.injector.dispatch_multiplier(self.index)
 
-    def _next_launch(self) -> "float | None":
-        kind = self.kind
-        if kind == "continuous":
-            if self.flight_pos:
-                return self.ready_s
-            if self.head < len(self.q_admit):
-                a = self.q_admit[self.head]
-                return a if a > self.ready_s else self.ready_s
-            return None
-        qlen = len(self.q_admit) - self.head
-        if qlen == 0:
-            return None
-        if kind == "fifo":
-            a = self.q_admit[self.head]
-            return a if a > self.ready_s else self.ready_s
-        if qlen >= self.max_batch:
-            a = self.q_admit[self.head + self.max_batch - 1]
-            return a if a > self.host_free else self.host_free
-        flush_at = self.flush_at
-        if flush_at is not None:
-            # arrivals drained: partial batches dispatch at the first decide
-            # pass, for static and dynamic alike (the deadline rule is gone).
-            t = self.q_admit[self.head]
-            if flush_at > t:
-                t = flush_at
-            return t if t > self.host_free else self.host_free
-        if kind == "dynamic":
-            d = self.q_admit[self.head] + self.max_wait_s
-            return d if d > self.host_free else self.host_free
-        return None
-
-    def _launch(self, t: float) -> None:
-        kind = self.kind
-        multiplier = self.injector.dispatch_multiplier(self.index)
-        start = t if t > self.host_free else self.host_free
-        if kind == "continuous":
-            free = self.max_batch - len(self.flight_pos)
-            if free > 0:
-                qlen = len(self.q_admit) - self.head
-                take = free if free < qlen else qlen
-                if take:
-                    stop = self.head + take
-                    self.flight_pos.extend(self.q_pos[self.head : stop])
-                    self.flight_rem.extend(self.q_steps[self.head : stop])
-                    self.head = stop
-            members = self.flight_pos
-            size = len(members)
-            iterations = 1
-            end = self._iterate(self.active.row(size), start, 1, multiplier)
-            completes: list[int] = []
-            keep_pos: list[int] = []
-            keep_rem: list[int] = []
-            for pos, rem in zip(members, self.flight_rem):
-                if rem == 1:
-                    completes.append(pos)
-                else:
-                    keep_pos.append(pos)
-                    keep_rem.append(rem - 1)
-            self.flight_pos = keep_pos
-            self.flight_rem = keep_rem
-            self.pending_steps -= size
-            self.ready_s = end  # barrier
-        elif kind == "fifo":
-            pos = self.q_pos[self.head]
-            iterations = self.q_steps[self.head]
-            self.head += 1
-            size = 1
-            members = completes = (pos,)
-            end = self._iterate(self.active.row(1), start, iterations, multiplier)
-            self.pending_steps -= iterations
-            self.ready_s = end  # barrier
-        else:  # static / dynamic
-            qlen = len(self.q_admit) - self.head
-            size = qlen if qlen < self.max_batch else self.max_batch
-            stop = self.head + size
-            members = completes = self.q_pos[self.head : stop]
-            steps = self.q_steps[self.head : stop]
-            self.head = stop
-            iterations = max(steps)
-            end = self._iterate(self.active.row(size), start, iterations, multiplier)
-            self.pending_steps -= sum(steps)
-            self.ready_s = t if t > self.host_free else self.host_free
+    def _record(self, start, end, size, iterations, multiplier, members, completes) -> None:
         self.log_end.append(end)
         self.log_size.append(size)
         self.log_iter.append(iterations)
@@ -941,42 +877,6 @@ class _SimReplica:
                 completion[pos] = end
                 winner[pos] = index
         self.depth_samples.append((start, len(self.q_admit) - self.head))
-        if self.head >= 8192:  # amortized queue compaction
-            del self.q_admit[: self.head]
-            del self.q_steps[: self.head]
-            del self.q_pos[: self.head]
-            self.head = 0
-
-    def _iterate(self, cost, start: float, iterations: int, multiplier: float) -> float:
-        """The reference ``launch()`` occupancy arithmetic, verbatim,
-        straggler multiplier included (1.0 stays bit-exact)."""
-        host_s = cost.host_s * multiplier
-        accel_s = cost.accel_s * multiplier
-        total_s = cost.total_s * multiplier
-        cursor = start
-        if cost.has_accel:
-            target = cost.target
-            # one dict read/write per dispatch, not per iteration: only this
-            # target's free time and the host cursor evolve inside the loop.
-            accel_start = self.accel_free.get(target, 0.0)
-            host_end = cursor
-            for _ in range(iterations):
-                host_end = cursor + host_s
-                if accel_start < host_end:
-                    accel_start = host_end
-                if accel_start == host_end:
-                    end = cursor + total_s
-                else:
-                    end = accel_start + accel_s
-                accel_start = end
-                cursor = end
-            self.accel_free[target] = accel_start
-            self.host_free = host_end
-        else:
-            for _ in range(iterations):
-                cursor = cursor + total_s
-            self.host_free = cursor
-        return cursor
 
 
 def run_fast_faulted(
@@ -1018,7 +918,7 @@ def run_fast_faulted(
         )
         for index, engine in enumerate(router.engines)
     ]
-    counters = {"shed": 0, "failed": 0, "retries": 0}
+    retries = 0
 
     heap: list = []
     #: retry timers whose fire times arrive in nondecreasing order (the
@@ -1087,9 +987,9 @@ def run_fast_faulted(
     alive = list(machines)
 
     def route_primary(pos: int, when: float) -> None:
+        nonlocal retries
         if attempts[pos] >= 1 + config.max_retries:
             status[pos] = _ST_FAILED
-            counters["failed"] += 1
             return
         previous = live_replica[pos]
         candidates = [m for m in alive if m.index != previous] or alive
@@ -1099,7 +999,7 @@ def run_fast_faulted(
             push(when + timeouts[pos], _PRIO_RETRY, pos)
             return
         if attempts[pos] >= 1:
-            counters["retries"] += 1
+            retries += 1
             backoff = timeouts[pos] * 2.0
             if config.timeout_cap_s is not None:
                 backoff = min(backoff, config.timeout_cap_s)
@@ -1114,7 +1014,6 @@ def run_fast_faulted(
         if not alive:
             if config.shed_queue_s is not None:
                 status[pos] = _ST_SHED
-                counters["shed"] += 1
                 return
             route_primary(pos, when)  # defers on the timeout
             return
@@ -1126,7 +1025,6 @@ def run_fast_faulted(
             chosen.advance(when)  # the shed check probes est_delay_s
             if chosen.est_delay_s(when) > config.shed_queue_s:
                 status[pos] = _ST_SHED
-                counters["shed"] += 1
                 return
         admit_copy(pos, chosen, when)
 
@@ -1375,49 +1273,7 @@ def run_fast_faulted(
             ]
         result.replicas.append(replica_result)
 
-    def cluster_record(pos: int) -> ClusterRequestRecord:
-        return ClusterRequestRecord(
-            request_id=ids_list[pos],
-            arrival_s=arrival_times[pos],
-            completion_s=completion[pos],
-            status=_STATUS_NAMES[status[pos]],
-            replica=winner[pos],
-            attempts=attempts[pos],
-            hedged=False,
-            hedge_won=False,
-        )
-
-    if cap is None:
-        result.records = [cluster_record(pos) for pos in range(n)]
-    else:
-        # metrics.cap_cluster_result's counters and streaming block, fed
-        # from columns (trace order, completed requests only).
-        latencies = np.array(
-            [
-                completion[pos] - arrival_times[pos]
-                for pos in range(n)
-                if status[pos] == _ST_OK
-            ],
-            dtype=np.float64,
-        )
-        result.stats = streaming_stats(latencies)
-        result.num_requests_total = n
-        result.num_completed = int(latencies.size)
-        if config.deadline_s is None:
-            result.num_good = int(latencies.size)
-        else:
-            result.num_good = int((latencies <= config.deadline_s).sum())
-        result.record_cap = cap
-        result.records = [
-            cluster_record(pos)
-            for pos in sample_record_indices(n, cap).tolist()
-        ]
-    completed = [c for c in completion if c is not None]
-    if completed:
-        result.makespan_s = max(completed) - arrival_times[0]
-    result.num_shed = counters["shed"]
-    result.num_failed = counters["failed"]
-    result.num_retries = counters["retries"]
+    result.num_retries = retries
     recovery = 0.0
     for window in injector.schedule.windows:
         victim = machines[window.replica]
@@ -1434,4 +1290,12 @@ def run_fast_faulted(
             recovery = max(recovery, after - window.end_s)
     result.time_to_recovery_s = recovery
     result.backend_used = "columnar-faulted"
-    return apply_static_lifecycle(result)
+    return _assemble_cluster(
+        result,
+        config,
+        trace,
+        np.array(status, dtype=np.int64),
+        np.array(completion, dtype=np.float64),  # None (unresolved) -> nan
+        np.array(winner, dtype=np.int64),
+        np.array(attempts, dtype=np.int64),
+    )

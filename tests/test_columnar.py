@@ -5,8 +5,9 @@ every registered scheduler on every registered platform, the columnar
 kernels must reproduce the scalar reference event loop's result **exactly**
 — full dataclass equality, covering every float accumulation, queue-depth
 sample, and record — both for the single engine and for the cluster router
-(including faults, retries, and hedging, where the fast backend's chunked
-arrival cursor must preserve the reference heap's event order).
+(including faults, retries, and hedging, where the fast backend's columnar
+rails or event-loop fallback must preserve the reference heap's event
+order).
 
 Alongside it: bit-identity of the vectorized trace generators against the
 historical per-request scalar loops, and accuracy bounds of the streaming

@@ -19,11 +19,15 @@ resolved completions).  These tests pin four contracts:
   exhaustion, shed-under-fault, and capped streaming metrics;
 * **fallback** — hedging and custom policies/schedulers route to the
   reference loop (neither fast entry point may run), still returning
-  identical results, with the reason recorded on the result.
+  identical results, with the reason recorded on the result;
+* **differential fuzz** — hypothesis-drawn fleets, faults and traces give
+  ``fast == reference`` and account for every request.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving import (
     ClusterConfig,
@@ -42,7 +46,6 @@ from repro.serving.cluster import (
 from repro.serving.columnar_cluster import (
     fast_path_fallback_reason,
     needs_faulted_path,
-    supports_fast_path,
 )
 from repro.serving.faults import FaultInjector
 from repro.serving.scheduler import (
@@ -393,12 +396,11 @@ class TestSupportsFastPath:
 
     def _probe(self, **kwargs):
         config = self._config(**kwargs)
-        injector = FaultInjector(config.fault_profile, 2, 100.0, seed=0)
-        return supports_fast_path(
-            config,
-            injector,
-            get_policy(config.policy),
-            get_scheduler(config.scheduler),
+        return (
+            fast_path_fallback_reason(
+                config, get_policy(config.policy), get_scheduler(config.scheduler)
+            )
+            is None
         )
 
     def _reason(self, **kwargs):
@@ -437,3 +439,55 @@ class TestSupportsFastPath:
         assert needs(profile="accel-loss")
         assert needs(profile="straggler")
         assert needs(timeout_s=0.02)
+
+
+#: one drawn cluster scenario: ClusterConfig overrides plus trace knobs.
+fleet_scenarios = st.fixed_dictionaries(
+    {
+        "scheduler": st.sampled_from(SCHEDULERS),
+        "policy": st.sampled_from(POLICIES),
+        "shed_queue_s": st.sampled_from((None, 0.005, 0.02, 0.1)),
+        "platforms": st.lists(
+            st.sampled_from(("A", "B")), min_size=1, max_size=4
+        ).map(tuple),
+        # about half the draws stay fault- and timeout-free, so the
+        # closed-form rail gets as many examples as the faulted replay.
+        "faults": st.one_of(
+            st.just(("none", None)),
+            st.tuples(
+                st.sampled_from(("none", "crash", "accel-loss", "straggler")),
+                st.sampled_from((None, 0.01, 0.05)),
+            ),
+        ),
+        "fault_seed": st.integers(0, 3),
+        "record_requests": st.sampled_from((None, 1, 16)),
+        "trace_kind": st.sampled_from(("poisson", "bursty", "closed-loop")),
+        "num_requests": st.integers(1, 200),
+        "load": st.sampled_from((0.5, 1.0, 2.0)),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+@pytest.mark.fuzz
+class TestDifferentialFuzz:
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(fleet_scenarios)
+    def test_fast_matches_reference_and_accounts_for_every_request(self, scenario):
+        scenario = dict(scenario)
+        profile, timeout_s = scenario.pop("faults")
+        if profile == "crash" and timeout_s is None:
+            # crash windows lose work that only a timeout can re-route.
+            timeout_s = 0.02
+        scenario.update(fault_profile=profile, timeout_s=timeout_s)
+        fast = run_cluster("fast", **scenario)
+        reference = run_cluster("reference", **scenario)
+        assert fast == reference
+        assert fast.backend_used in ("columnar", "columnar-faulted")
+        n = scenario["num_requests"]
+        completed = (
+            fast.num_completed
+            if fast.num_completed is not None
+            else len(fast.completed())
+        )
+        assert completed + fast.num_shed + fast.num_failed == n
