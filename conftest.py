@@ -20,7 +20,9 @@ import pytest
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "fuzz: hypothesis-driven differential tests (small budget in tier-1)"
+        "markers",
+        "fuzz: hypothesis-driven differential tests (25 examples in tier-1;"
+        " --hypothesis-profile=fuzz-ci runs ~1000, see tests/conftest.py)",
     )
 
 

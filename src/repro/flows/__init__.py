@@ -29,7 +29,6 @@ from repro.flows.passes import (
 )
 from repro.flows.plan import ExecutionPlan, PlannedKernel, group_cost, node_base_cost
 from repro.flows.pytorch_eager import PyTorchEagerFlow
-from repro.flows.reference import reference_lower
 from repro.flows.tensorrt import TensorRTFlow
 from repro.flows.torch_inductor import TorchInductorFlow
 
@@ -143,6 +142,5 @@ __all__ = [
     "group_cost",
     "list_flows",
     "node_base_cost",
-    "reference_lower",
     "register_flow",
 ]

@@ -43,14 +43,13 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.hardware.device import DeviceKind
-from repro.hardware.platform import get_platform
 from repro.serving.autoscale import (
     AutoscaleConfig,
     AutoscaleObservation,
     get_autoscaler,
 )
 from repro.serving.cost import BatchCostModel
-from repro.serving.engine import ServingConfig, ServingEngine, resolve_serving_target
+from repro.serving.engine import ServingConfig, ServingEngine
 from repro.serving.faults import CRASH, FaultInjector
 from repro.serving.metrics import (
     REQUEST_FAILED,
@@ -423,16 +422,14 @@ class _Replica:
         "inflight",
         "completion_ends",
         "_fallback_costs",
-        "_cache",
     )
 
-    def __init__(self, index: int, engine: ServingEngine, scheduler: BatchScheduler, cache: PlanCache | None):
+    def __init__(self, index: int, engine: ServingEngine, scheduler: BatchScheduler):
         self.index = index
         self.engine = engine
         self.scheduler = scheduler
         self.costs = engine.costs
         self._fallback_costs: BatchCostModel | None = None
-        self._cache = cache
         self.down = False
         self.accel_down = False
         #: elastic lifecycle (autoscaled runs flip these; fixed fleets
@@ -466,21 +463,9 @@ class _Replica:
 
     def fallback_costs(self) -> BatchCostModel:
         """Host-CPU cost model for accelerator-loss windows (built lazily,
-        through the same shared cache)."""
-        if self.engine.target is DeviceKind.CPU:
-            return self.engine.costs
+        once per run)."""
         if self._fallback_costs is None:
-            platform, target = resolve_serving_target(
-                get_platform(self.engine.config.platform), DeviceKind.CPU
-            )
-            self._fallback_costs = BatchCostModel(
-                model=self.engine.config.model,
-                flow=self.engine.flow,
-                platform=platform,
-                target=target,
-                seq_len=self.engine.config.seq_len,
-                cache=self._cache,
-            )
+            self._fallback_costs = self.engine.cpu_fallback_costs()
         return self._fallback_costs
 
     def unit_latency_s(self) -> float:
@@ -529,7 +514,6 @@ class ClusterRouter:
 
     def __init__(self, config: ClusterConfig, cache: PlanCache | None = None):
         self.config = config
-        self.cache = cache
         get_policy(config.policy)  # fail fast on unknown names
         if config.autoscale is not None:
             get_autoscaler(config.autoscale.controller)
@@ -590,7 +574,6 @@ class ClusterRouter:
                     max_batch=config.max_batch,
                     max_wait_s=config.max_wait_s,
                 ),
-                self.cache,
             )
             for index, engine in enumerate(self.engines)
         ]

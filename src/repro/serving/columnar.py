@@ -65,9 +65,16 @@ def _running_total(values: np.ndarray) -> float:
 
 
 class _Run:
-    """Per-run columnar state shared by every kernel."""
+    """Per-run columnar state shared by every kernel, and the one place a
+    columnar :class:`ServingResult` is assembled.
 
-    def __init__(self, engine, trace: RequestTrace, scheduler):
+    A kernel (or the faulted fleet rail, replaying its dispatch log) fills
+    the per-request output columns, the folded accounting, and the
+    queue-depth timeline or its accumulators; :meth:`finalize` turns them
+    into the result.  ``cap`` is the ``record_requests`` cap of the run.
+    """
+
+    def __init__(self, engine, trace: RequestTrace, scheduler, cap: "int | None"):
         self.engine = engine
         self.trace = trace
         self.scheduler = scheduler
@@ -79,12 +86,12 @@ class _Run:
         #: loop; the iteration planes bound k by the trace's longest decode.
         self.table = engine.costs.cost_table(scheduler.max_batch, self.max_steps)
         # per-request output columns (trace order); every kernel assigns all
-        # three before finalize() reads them.
-        self.start: np.ndarray = None
-        self.completion: np.ndarray = None
-        self.batch: np.ndarray = None
-        self.cap = engine.config.record_requests
-        self.full = self.cap is None
+        # three, and an empty run keeps these.
+        self.start = np.empty(0, dtype=np.float64)
+        self.completion = np.empty(0, dtype=np.float64)
+        self.batch = np.empty(0, dtype=np.int64)
+        self.cap = cap
+        self.full = cap is None
         #: (time, depth) samples in reference order — built only uncapped.
         self.timeline: list[tuple[float, int]] = []
         self.depth_count = 0
@@ -172,7 +179,19 @@ class _Run:
 
     # -- result assembly ----------------------------------------------------
 
-    def finalize(self, offered_rate_rps: "float | None") -> ServingResult:
+    def finalize(
+        self, offered_rate_rps: "float | None", order: "np.ndarray | None" = None
+    ) -> ServingResult:
+        """The run's :class:`ServingResult`.
+
+        ``order`` maps record positions to trace positions (the cluster
+        router lists a replica's records by ``(admitted_s, id)``); ``None``
+        keeps trace order.  With a cap this is
+        :func:`~repro.serving.metrics.cap_serving_result`'s arithmetic fed
+        from columns: elementwise float64 subtraction matches the
+        per-record python subtraction.  An empty run yields the shape the
+        reference gives a replica that admitted nothing.
+        """
         engine = self.engine
         config = engine.config
         result = ServingResult(
@@ -188,7 +207,8 @@ class _Run:
                 else offered_rate_rps
             ),
         )
-        result.makespan_s = float(self.completion.max()) - float(self.arrival[0])
+        if self.n:
+            result.makespan_s = float(self.completion.max()) - float(self.arrival[0])
         result.num_dispatches = self.dispatches
         result.num_iterations = self.iterations
         result.mean_batch_size = (
@@ -198,23 +218,22 @@ class _Run:
         result.energy_j = self.energy
         result.gemm_busy_s = self.gemm
         result.non_gemm_busy_s = self.non_gemm
+        if order is None:
+            order = np.arange(self.n)
         if self.full:
-            result.records = self._records(np.arange(self.n))
+            result.records = self._records(order)
             result.queue_depth_timeline = tuple(self.timeline)
         else:
-            # identical arithmetic to metrics.cap_serving_result, fed from
-            # columns instead of record objects — elementwise float64
-            # subtraction matches the per-record python subtraction.
             result.stats = streaming_stats(
-                self.completion - self.arrival,
-                self.start - self.arrival,
+                (self.completion - self.arrival)[order],
+                (self.start - self.arrival)[order],
                 depth_samples=self.depth_count,
                 depth_sum=self.depth_sum,
                 depth_max=self.depth_max,
             )
             result.num_served = self.n
             result.record_cap = self.cap
-            result.records = self._records(sample_record_indices(self.n, self.cap))
+            result.records = self._records(order[sample_record_indices(self.n, self.cap)])
         return result
 
     def _records(self, indices: np.ndarray) -> list[RequestRecord]:
@@ -580,7 +599,7 @@ def run_fast(
             else "empty trace"
         )
         return result
-    run = _Run(engine, trace, scheduler)
+    run = _Run(engine, trace, scheduler, config.record_requests)
     kernel(run)
     result = run.finalize(offered_rate_rps)
     result.backend_used = "columnar"

@@ -19,10 +19,12 @@ works in three passes:
    *global* ``arrivals_pending`` flag: static/dynamic batching hold a
    partial final batch until the whole trace's last arrival has been
    drained, which the kernels model with their ``more_until`` horizon.
-3. **Assembly** — per-replica results and cluster records are rebuilt in
-   the reference router's exact orders (records by ``(admitted_s, id)``,
-   accounting folded in launch order), so the result is **bit-identical**
-   to ``backend="reference"``: same ``ClusterResult``, same float
+3. **Assembly** — each replica's result comes from
+   :meth:`~repro.serving.columnar._Run.finalize`, the one builder of a
+   columnar ``ServingResult``, fed the permutation to the reference
+   router's record order (``(admitted_s, id)``); cluster records come from
+   :func:`_assemble_cluster`.  The result is **bit-identical** to
+   ``backend="reference"``: same ``ClusterResult``, same float
    accumulations, same capped/streaming blocks.
 
 Two rails share one replica machine.  :class:`_Machine` holds the queue
@@ -34,7 +36,8 @@ a minimal event heap holding only fault transitions and retry timers, and
 one :class:`_SimReplica` per replica — the same machine plus straggler
 multipliers, the accel-loss table swap, crashes, a dispatch log, and lazily
 resolved completions — with all accounting folded vectorized at assembly.
-Both rails hand their per-request columns to one cluster-record assembly.
+Its per-replica columns and folds fill a ``_Run`` too, so both rails share
+one per-replica assembly and one cluster-record assembly.
 :func:`fast_path_fallback_reason` names the only remaining fallback
 conditions — autoscaling, hedged dispatch, and custom registered
 policies/schedulers — and :meth:`~repro.serving.cluster.ClusterRouter.run`
@@ -63,18 +66,13 @@ from collections import deque
 import numpy as np
 
 from repro.errors import ServingError
-from repro.hardware.device import DeviceKind
-from repro.hardware.platform import get_platform
 from repro.serving.columnar import _Run, _running_total, kernel_for
-from repro.serving.cost import BatchCostModel
-from repro.serving.engine import resolve_serving_target
 from repro.serving.metrics import (
     REQUEST_FAILED,
     REQUEST_OK,
     REQUEST_SHED,
     ClusterRequestRecord,
     ClusterResult,
-    RequestRecord,
     ServingResult,
     apply_static_lifecycle,
     sample_record_indices,
@@ -459,29 +457,6 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
 # -- serving pass -------------------------------------------------------------
 
 
-def _empty_replica_result(
-    engine, scheduler_name: str, config, platform_id: str, trace_name: str, rate: float
-) -> ServingResult:
-    """A replica that admitted nothing, in the reference's exact shape."""
-    result = ServingResult(
-        model=config.model,
-        flow=engine.flow.name,
-        platform_id=platform_id,
-        device=engine.target.value,
-        scheduler=scheduler_name,
-        trace=trace_name,
-        offered_rate_rps=rate,
-        busy_s={spec.kind: 0.0 for spec in engine.platform.devices},
-        energy_j={spec.kind: 0.0 for spec in engine.platform.devices},
-    )
-    if config.record_requests is not None:
-        empty = np.zeros(0, dtype=np.float64)
-        result.stats = streaming_stats(empty, empty)
-        result.num_served = 0
-        result.record_cap = config.record_requests
-    return result
-
-
 def _serve_replica(
     engine, config, trace: RequestTrace, indices: np.ndarray, more_until: float, rate: float
 ) -> "tuple[ServingResult, np.ndarray]":
@@ -489,7 +464,9 @@ def _serve_replica(
 
     Returns the per-replica :class:`ServingResult` (in the reference
     router's record order and capping shape) and the completion column in
-    sub-stream (trace) order for cluster-level scatter.
+    sub-stream (trace) order for cluster-level scatter.  A replica that
+    admitted nothing runs no kernel: the reference never prices a batch
+    for it.
     """
     sub = RequestTrace(
         trace.name,
@@ -500,49 +477,14 @@ def _serve_replica(
     scheduler = get_scheduler(
         config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
     )
-    run = _Run(engine, sub, scheduler)
-    run.cap = config.record_requests
-    run.full = run.cap is None
-    kernel_for(scheduler)(run, more_until=more_until)
-
+    run = _Run(engine, sub, scheduler, config.record_requests)
+    if run.n:
+        kernel_for(scheduler)(run, more_until=more_until)
     # the reference router lists a replica's records by (admitted_s, id) —
     # identical to sub-stream order except when equal-time arrivals carry
     # out-of-order ids, so order stats and records through the permutation.
     perm = np.lexsort((sub.id_column(), run.arrival))
-    result = ServingResult(
-        model=config.model,
-        flow=engine.flow.name,
-        platform_id=engine.config.platform,
-        device=engine.target.value,
-        scheduler=scheduler.name,
-        trace=trace.name,
-        offered_rate_rps=rate,
-    )
-    result.makespan_s = float(run.completion.max()) - float(run.arrival[0])
-    result.num_dispatches = run.dispatches
-    result.num_iterations = run.iterations
-    result.mean_batch_size = run.weighted / run.iterations if run.iterations else 0.0
-    result.busy_s = run.busy
-    result.energy_j = run.energy
-    result.gemm_busy_s = run.gemm
-    result.non_gemm_busy_s = run.non_gemm
-    if run.full:
-        result.records = run._records(perm)
-        result.queue_depth_timeline = tuple(run.timeline)
-    else:
-        # metrics.cap_serving_result's arithmetic, fed from columns in the
-        # reference's record order.
-        result.stats = streaming_stats(
-            run.completion[perm] - run.arrival[perm],
-            run.start[perm] - run.arrival[perm],
-            depth_samples=run.depth_count,
-            depth_sum=run.depth_sum,
-            depth_max=run.depth_max,
-        )
-        result.num_served = run.n
-        result.record_cap = run.cap
-        result.records = run._records(perm[sample_record_indices(run.n, run.cap)])
-    return result, run.completion
+    return run.finalize(rate, perm), run.completion
 
 
 # -- cluster assembly ---------------------------------------------------------
@@ -637,18 +579,9 @@ def run_fast_cluster(
     assigned = _route(config, engines, trace, policy, policy_rng)
     more_until = float(arrivals[-1])
 
-    scheduler_name = get_scheduler(config.scheduler).name
     completion_all = np.empty(n, dtype=np.float64)
     for index, engine in enumerate(engines):
         indices = np.nonzero(assigned == index)[0]
-        if indices.size == 0:
-            result.replicas.append(
-                _empty_replica_result(
-                    engine, scheduler_name, config, config.platforms[index],
-                    trace.name, rate,
-                )
-            )
-            continue
         replica_result, completions = _serve_replica(
             engine, config, trace, indices, more_until, rate
         )
@@ -709,7 +642,6 @@ class _SimReplica(_Machine):
 
     __slots__ = (
         "engine",
-        "cache",
         "injector",
         "table",
         "fallback_table",
@@ -735,12 +667,11 @@ class _SimReplica(_Machine):
     )
 
     def __init__(
-        self, index, engine, kind, max_batch, max_wait_s, injector, cache,
+        self, index, engine, kind, max_batch, max_wait_s, injector,
         has_crash, started, live_end, status, completion, winner,
     ):
         super().__init__(index, engine, kind, max_batch, max_wait_s)
         self.engine = engine
-        self.cache = cache
         self.injector = injector
         self.table = self.active
         self.fallback_table = None
@@ -795,21 +726,9 @@ class _SimReplica(_Machine):
             self.active = self.table
             return
         if self.fallback_table is None:
-            engine = self.engine
-            if engine.target is DeviceKind.CPU:
-                self.fallback_table = self.table
-            else:
-                platform, target = resolve_serving_target(
-                    get_platform(engine.config.platform), DeviceKind.CPU
-                )
-                self.fallback_table = BatchCostModel(
-                    model=engine.config.model,
-                    flow=engine.flow,
-                    platform=platform,
-                    target=target,
-                    seq_len=engine.config.seq_len,
-                    cache=self.cache,
-                ).cost_table(self.max_batch)
+            self.fallback_table = self.engine.cpu_fallback_costs().cost_table(
+                self.max_batch
+            )
         self.active = self.fallback_table
 
     def crash(self, when: float) -> list[int]:
@@ -913,7 +832,7 @@ def run_fast_faulted(
     machines = [
         _SimReplica(
             index, engine, kind, config.max_batch, config.max_wait_s,
-            injector, router.cache, index in crash_replicas, started, live_end,
+            injector, index in crash_replicas, started, live_end,
             status, completion, winner,
         )
         for index, engine in enumerate(router.engines)
@@ -1139,8 +1058,12 @@ def run_fast_faulted(
 
     # -- assembly (reference aggregate orders, vectorized folds) -----------
 
-    ids_list = trace.id_column().tolist()
-    cap = config.record_requests
+    id_column = trace.id_column()
+    decode_column = trace.decode_column()
+    ids_list = id_column.tolist()
+    scheduler = get_scheduler(
+        config.scheduler, max_batch=config.max_batch, max_wait_s=config.max_wait_s
+    )
     for machine in machines:
         ends = np.asarray(machine.log_end, dtype=np.float64)
         sizes = np.asarray(machine.log_size, dtype=np.int64)
@@ -1161,6 +1084,32 @@ def run_fast_faulted(
         # per-replica accounting folds at completion-pop order: stable sort
         # by end time over the launch-ordered log.
         order = np.argsort(ends, kind="stable")
+        completions: dict[int, tuple[float, int]] = {}
+        ends_list = ends.tolist()
+        sizes_list = sizes.tolist()
+        for i in order.tolist():
+            entry = (ends_list[i], sizes_list[i])
+            for pos in log_completes[i]:
+                completions[pos] = entry
+        admitted = machine.admitted
+        # the reference router lists a replica's records by (admitted, id).
+        order_pos = sorted(completions, key=lambda p: (admitted[p], ids_list[p]))
+        positions = np.array(order_pos, dtype=np.int64)
+        run = _Run(
+            machine.engine,
+            RequestTrace(
+                trace.name,
+                arrival_s=[admitted[p] for p in order_pos],
+                decode_steps=decode_column[positions],
+                request_ids=id_column[positions],
+            ),
+            scheduler,
+            config.record_requests,
+        )
+        run.start = np.array([machine.starts[p] for p in order_pos])
+        run.completion = np.array([completions[p][0] for p in order_pos])
+        run.batch = np.array([completions[p][1] for p in order_pos], dtype=np.int64)
+
         fallback_table = machine.fallback_table
         use_fb = fallback_table is not None and fallback_table is not machine.table
         if use_fb:
@@ -1179,99 +1128,33 @@ def run_fast_faulted(
             return _running_total(((vals * mults) * iters)[order])
 
         table = machine.table
-        busy = {
+        run.busy = {
             dev_kind: fold(
                 col, fallback_table.busy_s.get(dev_kind) if use_fb else None
             )
             for dev_kind, col in table.busy_s.items()
         }
-        energy = {
+        run.energy = {
             dev_kind: fold(
                 col, fallback_table.energy_j.get(dev_kind) if use_fb else None
             )
             for dev_kind, col in table.energy_j.items()
         }
-        gemm = fold(table.gemm_s, fallback_table.gemm_s if use_fb else None)
-        non_gemm = fold(table.non_gemm_s, fallback_table.non_gemm_s if use_fb else None)
-
-        completions: dict[int, tuple[float, int]] = {}
-        ends_list = ends.tolist()
-        sizes_list = sizes.tolist()
-        for i in order.tolist():
-            entry = (ends_list[i], sizes_list[i])
-            for pos in log_completes[i]:
-                completions[pos] = entry
-        admitted = machine.admitted
-        # the reference router lists a replica's records by (admitted, id).
-        order_pos = sorted(completions, key=lambda p: (admitted[p], ids_list[p]))
-
-        def record_for(pos: int) -> RequestRecord:
-            return RequestRecord(
-                request_id=ids_list[pos],
-                arrival_s=admitted[pos],
-                start_s=machine.starts[pos],
-                completion_s=completions[pos][0],
-                decode_steps=decode_counts[pos],
-                batch_size=completions[pos][1],
-            )
-
-        makespan = 0.0
-        if order_pos:
-            makespan = max(completions[p][0] for p in order_pos) - min(
-                admitted[p] for p in order_pos
-            )
-        engine = machine.engine
-        replica_result = ServingResult(
-            model=config.model,
-            flow=engine.flow.name,
-            platform_id=config.platforms[machine.index],
-            device=engine.target.value,
-            scheduler=get_scheduler(config.scheduler).name,
-            trace=trace.name,
-            offered_rate_rps=result.offered_rate_rps,
-            makespan_s=makespan,
-            num_dispatches=int(ends.size),
-            num_iterations=int(iters.sum()),
-            mean_batch_size=(
-                int((sizes * iters).sum()) / int(iters.sum())
-                if ends.size
-                else 0.0
-            ),
-            busy_s=busy,
-            energy_j=energy,
-            gemm_busy_s=gemm,
-            non_gemm_busy_s=non_gemm,
+        run.gemm = fold(table.gemm_s, fallback_table.gemm_s if use_fb else None)
+        run.non_gemm = fold(
+            table.non_gemm_s, fallback_table.non_gemm_s if use_fb else None
         )
-        if cap is None:
-            replica_result.records = [record_for(pos) for pos in order_pos]
-            replica_result.queue_depth_timeline = tuple(machine.depth_samples)
+        run.dispatches = int(ends.size)
+        run.iterations = int(iters.sum())
+        run.weighted = int((sizes * iters).sum())
+        if run.full:
+            run.timeline = machine.depth_samples
         else:
-            # metrics.cap_serving_result's arithmetic fed from columns in
-            # record order — the full record list is never materialized.
-            arr_col = np.array(
-                [admitted[p] for p in order_pos], dtype=np.float64
-            )
-            comp_col = np.array(
-                [completions[p][0] for p in order_pos], dtype=np.float64
-            )
-            start_col = np.array(
-                [machine.starts[p] for p in order_pos], dtype=np.float64
-            )
             depths = [depth for _, depth in machine.depth_samples]
-            replica_result.stats = streaming_stats(
-                comp_col - arr_col,
-                start_col - arr_col,
-                depth_samples=len(depths),
-                depth_sum=sum(depths),
-                depth_max=max(depths) if depths else 0,
-            )
-            replica_result.num_served = len(order_pos)
-            replica_result.record_cap = cap
-            sampled = sample_record_indices(len(order_pos), cap)
-            replica_result.records = [
-                record_for(order_pos[i]) for i in sampled.tolist()
-            ]
-        result.replicas.append(replica_result)
+            run.depth_count = len(depths)
+            run.depth_sum = sum(depths)
+            run.depth_max = max(depths) if depths else 0
+        result.replicas.append(run.finalize(result.offered_rate_rps))
 
     result.num_retries = retries
     recovery = 0.0

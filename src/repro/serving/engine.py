@@ -129,6 +129,25 @@ class ServingEngine:
         """Single-stream (batch-1) latency — the load axis' capacity unit."""
         return self.costs.cost(1).total_s
 
+    def cpu_fallback_costs(self) -> BatchCostModel:
+        """Host-CPU cost model for accelerator-loss windows, through the
+        same plan cache.  CPU targets return :attr:`costs` itself; any other
+        target gets a fresh model on every call, so callers memoize it per
+        run."""
+        if self.target is DeviceKind.CPU:
+            return self.costs
+        platform, target = resolve_serving_target(
+            get_platform(self.config.platform), DeviceKind.CPU
+        )
+        return BatchCostModel(
+            model=self.config.model,
+            flow=self.flow,
+            platform=platform,
+            target=target,
+            seq_len=self.config.seq_len,
+            cache=self.costs.cache,
+        )
+
     def run(
         self, trace: RequestTrace, offered_rate_rps: float | None = None
     ) -> ServingResult:

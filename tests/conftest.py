@@ -4,9 +4,28 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.ir import DType, Graph, TensorSpec
 from repro.ops.base import Operator
+
+# Budgets of the ``fuzz``-marked differential tests.  Tier-1 runs the small
+# derandomized one; a larger run selects the other with
+# ``pytest -m fuzz --hypothesis-profile=fuzz-ci``.  Hypothesis's own default
+# profile is left alone, so every other property test keeps its budget.
+settings.register_profile(
+    "fuzz", max_examples=25, derandomize=True, deadline=None, database=None
+)
+settings.register_profile(
+    "fuzz-ci", max_examples=1000, deadline=None, database=None, print_blob=True
+)
+
+
+def fuzz_settings() -> settings:
+    """Settings for a ``fuzz``-marked test: the loaded profile when it is a
+    fuzz profile, the tier-1 ``fuzz`` budget otherwise."""
+    name = settings.get_current_profile_name()
+    return settings.get_profile(name if name.startswith("fuzz") else "fuzz")
 
 
 @pytest.fixture

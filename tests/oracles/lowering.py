@@ -2,8 +2,8 @@
 
 This module preserves the monolithic ``DeploymentFlow.lower`` algorithm
 exactly as it existed before lowering was decomposed into
-:mod:`repro.flows.passes`.  It is not used by any production path — the
-equivalence suite (``tests/test_passes.py``) lowers every registered model
+:mod:`repro.flows.passes`.  Only tests use it — the equivalence suite
+(``tests/test_passes.py``) lowers every registered model
 through both implementations and asserts the plans match kernel-for-kernel,
 the same role :func:`repro.runtime.simulator.simulate_reference` plays for
 the vectorized simulator.

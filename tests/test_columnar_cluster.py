@@ -4,7 +4,7 @@
 columns on two rails: ``run_fast_cluster`` (closed forms + per-scheduler
 columnar kernels, no faults/retries) and ``run_fast_faulted`` (minimal event
 heap over fault transitions and retry timers, lazy launches and lazily
-resolved completions).  These tests pin four contracts:
+resolved completions).  These tests pin these contracts:
 
 * **equivalence** — on the no-fault rail the fast path's ``ClusterResult``
   equals the reference router's, field for field, across schedulers,
@@ -17,6 +17,9 @@ resolved completions).  These tests pin four contracts:
   timeout retries ride ``run_fast_faulted`` (the no-fault kernels must not
   run) and stay bit-identical to the reference loop, including retry
   exhaustion, shed-under-fault, and capped streaming metrics;
+* **record order under ties** — equal-time arrivals with out-of-order ids
+  keep the reference router's ``(admitted_s, id)`` record order on both
+  rails and on the single engine;
 * **fallback** — hedging and custom policies/schedulers route to the
   reference loop (neither fast entry point may run), still returning
   identical results, with the reason recorded on the result;
@@ -32,6 +35,7 @@ from hypothesis import strategies as st
 from repro.serving import (
     ClusterConfig,
     ClusterRouter,
+    RequestTrace,
     ServingConfig,
     ServingEngine,
     make_trace,
@@ -54,6 +58,7 @@ from repro.serving.scheduler import (
     get_scheduler,
     register_scheduler,
 )
+from tests.conftest import fuzz_settings
 
 POLICIES = ("round-robin", "least-loaded", "power-of-two-choices")
 SCHEDULERS = ("fifo", "static", "dynamic", "continuous")
@@ -298,6 +303,73 @@ class TestFaultedFastPath:
         assert result.backend_used == "columnar-faulted"
 
 
+def tie_trace(rate: float, num_requests: int = 60, seed: int = 0) -> RequestTrace:
+    """Poisson arrivals snapped onto a coarse grid, so many land on the same
+    instant, with shuffled request ids: equal-time arrivals carry
+    out-of-order ids, where the router's ``(admitted_s, id)`` record order
+    differs from trace order."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(1.0 / rate, num_requests)
+    grid = 2.0 / rate
+    return RequestTrace(
+        "ties",
+        arrival_s=np.floor(np.cumsum(gaps) / grid) * grid,
+        decode_steps=rng.integers(1, 5, num_requests),
+        request_ids=rng.permutation(num_requests),
+    )
+
+
+class TestTieOrder:
+    """Equal-time arrivals with out-of-order ids: fast == reference on the
+    single engine and on both fleet rails, capped and uncapped."""
+
+    @pytest.mark.parametrize("record_requests", (None, 16))
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_single_engine(self, scheduler, record_requests):
+        results = []
+        for backend in ("fast", "reference"):
+            engine = ServingEngine(
+                ServingConfig(
+                    model="gpt2",
+                    scheduler=scheduler,
+                    backend=backend,
+                    record_requests=record_requests,
+                )
+            )
+            rate = 1.5 / engine.base_latency_s()
+            results.append(engine.run(tie_trace(rate), offered_rate_rps=rate))
+        fast, reference = results
+        assert fast == reference
+        assert fast.backend_used == "columnar"
+
+    @pytest.mark.parametrize("record_requests", (None, 16))
+    @pytest.mark.parametrize("profile", ("none", "crash", "straggler"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_fleet(self, scheduler, policy, profile, record_requests):
+        results = []
+        for backend in ("fast", "reference"):
+            router = ClusterRouter(
+                ClusterConfig(
+                    model="gpt2",
+                    platforms=("A", "A", "B"),
+                    scheduler=scheduler,
+                    policy=policy,
+                    fault_profile=profile,
+                    timeout_s=0.02 if profile == "crash" else None,
+                    record_requests=record_requests,
+                    backend=backend,
+                )
+            )
+            rate = 1.5 * router.fleet_capacity_rps()
+            trace = tie_trace(rate)
+            results.append(router.run(trace, offered_rate_rps=rate))
+        fast, reference = results
+        assert fast == reference
+        rail = "columnar" if profile == "none" else "columnar-faulted"
+        assert fast.backend_used == rail
+
+
 def _refuse_fast_path(*args, **kwargs):
     raise AssertionError("the fast path must not run for unsupported knobs")
 
@@ -460,6 +532,11 @@ fleet_scenarios = st.fixed_dictionaries(
             ),
         ),
         "fault_seed": st.integers(0, 3),
+        "max_retries": st.integers(0, 3),
+        # applied only when the scenario sets a timeout.
+        "timeout_cap_s": st.sampled_from((None, 0.03, 0.2)),
+        "deadline_s": st.sampled_from((None, 0.05)),
+        "max_batch": st.sampled_from((1, 2, 8)),
         "record_requests": st.sampled_from((None, 1, 16)),
         "trace_kind": st.sampled_from(("poisson", "bursty", "closed-loop")),
         "num_requests": st.integers(1, 200),
@@ -471,7 +548,7 @@ fleet_scenarios = st.fixed_dictionaries(
 
 @pytest.mark.fuzz
 class TestDifferentialFuzz:
-    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @settings(fuzz_settings())
     @given(fleet_scenarios)
     def test_fast_matches_reference_and_accounts_for_every_request(self, scenario):
         scenario = dict(scenario)
@@ -479,6 +556,8 @@ class TestDifferentialFuzz:
         if profile == "crash" and timeout_s is None:
             # crash windows lose work that only a timeout can re-route.
             timeout_s = 0.02
+        if timeout_s is None:
+            scenario["timeout_cap_s"] = None
         scenario.update(fault_profile=profile, timeout_s=timeout_s)
         fast = run_cluster("fast", **scenario)
         reference = run_cluster("reference", **scenario)
@@ -491,3 +570,11 @@ class TestDifferentialFuzz:
             else len(fast.completed())
         )
         assert completed + fast.num_shed + fast.num_failed == n
+        # every completion is served by exactly one replica.
+        served = sum(
+            replica.num_served
+            if replica.num_served is not None
+            else len(replica.records)
+            for replica in fast.replicas
+        )
+        assert served == completed

@@ -4,7 +4,7 @@ Covers three layers:
 
 * the **equivalence suite** — every registered flow, over every registered
   model, on both device classes, must produce exactly the plan the
-  pre-refactor monolithic planner (:func:`repro.flows.reference_lower`)
+  pre-refactor monolithic planner (``tests/oracles/lowering.py``)
   produced, kernel-for-kernel;
 * unit tests for the individual passes and the pass manager;
 * the cache contract: plans are keyed by pipeline signature, not flow name.
@@ -23,7 +23,6 @@ from repro.flows import (
     TensorRTFlow,
     get_flow,
     list_flows,
-    reference_lower,
     register_flow,
 )
 from repro.flows import _FLOWS, _INSTANCES
@@ -43,6 +42,7 @@ from repro.hardware import DeviceKind
 from repro.ir import Graph, TensorSpec
 from repro.models import build_model, list_models
 from repro.sweep.cache import PlanCache
+from tests.oracles.lowering import reference_lower
 
 ALL_FLOWS = tuple(list_flows())
 ALL_MODELS = tuple(entry.name for entry in list_models())
