@@ -93,23 +93,20 @@ _PRIO_SCALE = 5
 class AdmissionPolicy:
     """Base class: pick which alive replica admits the next request.
 
-    ``choose`` receives the alive candidates in replica-index order and the
-    router's seeded generator (used only by randomized policies, so
-    deterministic policies never perturb the stream).  Policies are stateful
-    (round-robin holds a cursor), so — like schedulers — :func:`get_policy`
-    returns a fresh instance per call.
+    ``choose`` is the only policy code: the reference event loop and both
+    columnar rails call it.  Its contract is small.  ``candidates`` come in
+    replica-index order, and each exposes ``index`` and ``est_delay_s(now)``
+    (the estimated queueing delay in seconds for a request admitted at
+    ``now``); nothing else on a candidate is part of the contract.  ``rng``
+    is the router's seeded generator (draw from it only in randomized
+    policies, so deterministic policies never perturb the stream).
+    Policies are stateful (round-robin holds a cursor), so — like
+    schedulers — :func:`get_policy` returns a fresh instance per call.
     """
 
     #: registry name; subclasses must override.
     name = ""
     description = ""
-
-    #: does ``choose`` read ``est_delay_s`` from its candidates?  The
-    #: columnar faulted rail advances candidate machines before probing
-    #: policies so load estimates reflect every launch decided so far;
-    #: policies that pick by index or coin flip declare False and skip
-    #: that work.  Conservative default: True.
-    probes_load = True
 
     def reset(self, num_replicas: int) -> None:
         """Drop instance state before a fresh run."""
@@ -128,7 +125,6 @@ class RoundRobinPolicy(AdmissionPolicy):
 
     name = "round-robin"
     description = "rotate through alive replicas in index order"
-    probes_load = False
 
     def reset(self, num_replicas: int) -> None:
         self._cursor = 0
@@ -157,7 +153,16 @@ class LeastLoadedPolicy(AdmissionPolicy):
     description = "smallest estimated queue delay (seconds; ties to lowest index)"
 
     def choose(self, now, candidates, rng):
-        return min(candidates, key=lambda r: (r.est_delay_s(now), r.index))
+        # candidates arrive in index order, so a strict < keeps the lowest
+        # index on ties.
+        chosen = None
+        chosen_delay = 0.0
+        for replica in candidates:
+            delay = replica.est_delay_s(now)
+            if chosen is None or delay < chosen_delay:
+                chosen = replica
+                chosen_delay = delay
+        return chosen
 
 
 class PowerOfTwoPolicy(AdmissionPolicy):
@@ -310,6 +315,11 @@ class ClusterConfig:
         ):
             if value is not None and value <= 0.0:
                 raise ServingError(f"{knob} must be positive, got {value}")
+        if self.timeout_cap_s is not None and self.timeout_s is None:
+            raise ServingError(
+                f"timeout_cap_s={self.timeout_cap_s} caps the retry backoff of"
+                " timeout_s, which is unset; set timeout_s or drop timeout_cap_s"
+            )
 
 
 # -- internal state -----------------------------------------------------------
@@ -617,9 +627,7 @@ class ClusterRouter:
                 run_fast_faulted,
             )
 
-            fallback_reason = fast_path_fallback_reason(
-                config, policy, replicas[0].scheduler
-            )
+            fallback_reason = fast_path_fallback_reason(config, replicas[0].scheduler)
             if fallback_reason is None:
                 if needs_faulted_path(config, injector):
                     return run_fast_faulted(

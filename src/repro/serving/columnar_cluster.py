@@ -5,14 +5,15 @@ one of these rails covers never builds the reference router's per-event
 heap.  The **no-fault / no-retry / no-hedge rail** (:func:`run_fast_cluster`)
 works in three passes:
 
-1. **Routing pass** — admission decisions are computed in columns.
-   Round-robin without shedding is closed form (``i mod R``: the cursor
-   advances once per arrival, shed or not).  Least-loaded, power-of-two, and
-   any shedding configuration replay the scalar router's
-   :meth:`~repro.serving.cluster._Replica.est_delay_s` against per-replica
-   :class:`_Machine` virtual clocks: recurrences over (host_free,
-   accel_free, pending decode steps) that replay each scheduler's launch
-   times without scheduler objects, ``Request`` objects, or heap events.
+1. **Routing pass** — every policy is its own
+   :meth:`~repro.serving.cluster.AdmissionPolicy.choose`, called once per
+   arrival on per-replica :class:`_Machine` virtual clocks instead of the
+   router's replicas: recurrences over (host_free, accel_free, pending
+   decode steps) that replay each scheduler's launch times without
+   scheduler objects, ``Request`` objects, or heap events, and answer
+   ``est_delay_s`` exactly as the reference replica would.  Built-in and
+   custom policies alike; the one shortcut is round-robin without
+   shedding, which is closed form (``i mod R``).
 2. **Serving pass** — each replica's admitted sub-stream is a column slice
    of the trace, fed through the existing per-scheduler columnar kernels of
    :mod:`repro.serving.columnar`.  The only cluster-specific wrinkle is the
@@ -38,11 +39,13 @@ multipliers, the accel-loss table swap, crashes, a dispatch log, and lazily
 resolved completions — with all accounting folded vectorized at assembly.
 Its per-replica columns and folds fill a ``_Run`` too, so both rails share
 one per-replica assembly and one cluster-record assembly.
-:func:`fast_path_fallback_reason` names the only remaining fallback
-conditions — autoscaling, hedged dispatch, and custom registered
-policies/schedulers — and :meth:`~repro.serving.cluster.ClusterRouter.run`
-falls back to the reference event loop automatically (silently, with the
-reason recorded on the result).
+Both rails call the configured policy's ``choose``, so custom registered
+policies ride them too.  :func:`fast_path_fallback_reason` names the only
+remaining fallback conditions — autoscaling, hedged dispatch, and
+schedulers that declare no columnar kernel — and
+:meth:`~repro.serving.cluster.ClusterRouter.run` falls back to the
+reference event loop automatically (silently, with the reason recorded on
+the result).
 
 Why launch times are a recurrence: the reference loop runs one decision
 pass per distinct event time, *after* draining that time's arrivals, and a
@@ -51,8 +54,8 @@ replica launches at most one dispatch per pass (every dispatch pushes its
 pure function of its queue and occupancy registers — ``max(ready, head
 admit)`` for fifo/continuous, ``max(host_free, cap-th admit)`` for a full
 batch, ``max(host_free, head admit + max_wait)`` for a dynamic flush — and
-admissions at time T strictly precede launches at T (the machines advance
-with a strict ``< T`` bound before every admission and delay probe).
+admissions at time T strictly precede launches at T (a machine advances
+with a strict ``< T`` bound inside every admission and delay probe).
 During routing the global arrival stream is never exhausted, so static
 batching never flushes a partial batch inside the machines.
 """
@@ -78,55 +81,31 @@ from repro.serving.metrics import (
     sample_record_indices,
     streaming_stats,
 )
-from repro.serving.scheduler import (
-    ContinuousBatchScheduler,
-    DynamicBatchScheduler,
-    FIFOScheduler,
-    StaticBatchScheduler,
-    get_scheduler,
-)
+from repro.serving.scheduler import get_scheduler
 from repro.serving.trace import RequestTrace
 
-_BUILTIN_SCHEDULERS = (
-    FIFOScheduler,
-    StaticBatchScheduler,
-    DynamicBatchScheduler,
-    ContinuousBatchScheduler,
-)
 
-
-def fast_path_fallback_reason(config, policy, scheduler) -> "str | None":
+def fast_path_fallback_reason(config, scheduler) -> "str | None":
     """Why this cluster run must take the reference event loop, or ``None``.
 
     Everything here mirrors a documented fallback condition: the README's
     "rail conditions" list and the fallback test battery enumerate exactly
-    these knobs.  Fault windows, stragglers, and timeout retries are *not*
-    fallback conditions anymore — they ride the fault-capable replay
-    (:func:`run_fast_faulted`); only hedging and custom registered
-    policies/schedulers still route to the reference loop.  The returned
-    string is surfaced as ``ClusterResult.fast_path_fallback_reason`` so a
-    silent fallback is diagnosable from the CLI.
+    these knobs.  Fault windows, stragglers, timeout retries and custom
+    admission policies ride the columnar rails; only autoscaling, hedging,
+    and schedulers that declare no columnar kernel route to the reference
+    loop.  The returned string is surfaced as
+    ``ClusterResult.fast_path_fallback_reason`` so a silent fallback is
+    diagnosable from the CLI.
     """
-    from repro.serving.cluster import (
-        LeastLoadedPolicy,
-        PowerOfTwoPolicy,
-        RoundRobinPolicy,
-    )
-
     if config.backend != "fast":
         return "backend='reference' requested"
     if config.autoscale is not None:
         return "autoscale set (elastic lifecycle runs in the event loop)"
     if config.hedge_after_s is not None:
         return "hedge_after_s set (hedged dispatch is not replayed in columns)"
-    if type(policy) not in (RoundRobinPolicy, LeastLoadedPolicy, PowerOfTwoPolicy):
-        return f"custom policy {type(policy).__name__} ({policy.name!r})"
-    if type(scheduler) not in _BUILTIN_SCHEDULERS:
-        return f"custom scheduler {type(scheduler).__name__} ({scheduler.name!r})"
     if kernel_for(scheduler) is None:
         return f"scheduler {scheduler.name!r} declares no columnar kernel"
     return None
-
 
 
 def needs_faulted_path(config, injector) -> bool:
@@ -205,7 +184,9 @@ class _Machine:
         self.flush_at: "float | None" = None
 
     def est_delay_s(self, now: float) -> float:
-        """Verbatim :meth:`_Replica.est_delay_s` over the machine registers."""
+        """Verbatim :meth:`_Replica.est_delay_s` over the machine registers,
+        after executing every launch decided strictly before ``now``."""
+        self.advance(now)
         horizon = self.host_free
         for t in self.accel_free.values():
             if t > horizon:
@@ -379,18 +360,16 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
     """Assign every arrival to a replica index (``-1``: shed).
 
     Sequential in trace order — exactly the drain order of the reference
-    loop — with the policy's own state transitions: the round-robin cursor
-    advances even on shed arrivals (``choose`` runs before the shed check),
-    and power-of-two draws from the seeded generator once per arrival.
+    loop — calling the policy's own ``choose`` on the machines, then the
+    shed check, like the reference's arrival handler.  Round-robin without
+    shedding is closed form: the cursor advances once per arrival.
     """
-    from repro.serving.cluster import LeastLoadedPolicy, RoundRobinPolicy
+    from repro.serving.cluster import RoundRobinPolicy
 
     n = trace.num_requests
-    num_replicas = len(engines)
     shed_s = config.shed_queue_s
-    round_robin = type(policy) is RoundRobinPolicy
-    if round_robin and shed_s is None:
-        return np.arange(n, dtype=np.int64) % num_replicas
+    if type(policy) is RoundRobinPolicy and shed_s is None:
+        return np.arange(n, dtype=np.int64) % len(engines)
 
     kind = type(get_scheduler(config.scheduler)).__dict__["columnar_kernel"]
     machines = [
@@ -400,57 +379,15 @@ def _route(config, engines, trace: RequestTrace, policy, rng) -> np.ndarray:
     arrivals = trace.arrival_column().tolist()
     steps = trace.decode_column().tolist()
     assigned = np.empty(n, dtype=np.int64)
-    if round_robin:
-        for i in range(n):
-            when = arrivals[i]
-            chosen = machines[i % num_replicas]
-            chosen.advance(when)
-            if chosen.est_delay_s(when) > shed_s:
-                assigned[i] = -1
-                continue
-            chosen.admit(when, steps[i], i)
-            assigned[i] = chosen.index
-    elif type(policy) is LeastLoadedPolicy:
-        for i in range(n):
-            when = arrivals[i]
-            chosen = None
-            chosen_delay = 0.0
-            # min(key=(delay, index)) in index order: strict < keeps the
-            # lowest-index replica on ties, like the reference min().
-            for machine in machines:
-                machine.advance(when)
-                delay = machine.est_delay_s(when)
-                if chosen is None or delay < chosen_delay:
-                    chosen = machine
-                    chosen_delay = delay
-            if shed_s is not None and chosen_delay > shed_s:
-                assigned[i] = -1
-                continue
-            chosen.admit(when, steps[i], i)
-            assigned[i] = chosen.index
-    else:  # power-of-two-choices
-        for i in range(n):
-            when = arrivals[i]
-            if num_replicas == 1:
-                chosen = machines[0]
-                chosen.advance(when)
-            else:
-                first_i, second_i = sorted(
-                    int(x) for x in rng.choice(num_replicas, size=2, replace=False)
-                )
-                first = machines[first_i]
-                second = machines[second_i]
-                first.advance(when)
-                second.advance(when)
-                if second.est_delay_s(when) < first.est_delay_s(when):
-                    chosen = second
-                else:
-                    chosen = first
-            if shed_s is not None and chosen.est_delay_s(when) > shed_s:
-                assigned[i] = -1
-                continue
-            chosen.admit(when, steps[i], i)
-            assigned[i] = chosen.index
+    choose = policy.choose
+    for i in range(n):
+        when = arrivals[i]
+        chosen = choose(when, machines, rng)
+        if shed_s is not None and chosen.est_delay_s(when) > shed_s:
+            assigned[i] = -1
+            continue
+        chosen.admit(when, steps[i], i)
+        assigned[i] = chosen.index
     return assigned
 
 
@@ -897,11 +834,6 @@ def run_fast_faulted(
             else:
                 push(t, _PRIO_RETRY, pos)
 
-    # advancing a machine is observable only through est_delay_s probes
-    # (launch outcomes are pure functions of machine state), so policies
-    # that never probe skip the pre-choose advancement entirely — the
-    # chosen machine still advances inside admit().
-    probes_load = getattr(type(policy), "probes_load", True)
     #: replicas not currently crashed; rebuilt only on fault transitions.
     alive = list(machines)
 
@@ -923,9 +855,6 @@ def run_fast_faulted(
             if config.timeout_cap_s is not None:
                 backoff = min(backoff, config.timeout_cap_s)
             timeouts[pos] = backoff
-        if probes_load:
-            for machine in candidates:
-                machine.advance(when)
         chosen = policy.choose(when, candidates, policy_rng)
         admit_copy(pos, chosen, when)
 
@@ -936,15 +865,13 @@ def run_fast_faulted(
                 return
             route_primary(pos, when)  # defers on the timeout
             return
-        if probes_load:
-            for machine in alive:
-                machine.advance(when)
         chosen = policy.choose(when, alive, policy_rng)
-        if config.shed_queue_s is not None:
-            chosen.advance(when)  # the shed check probes est_delay_s
-            if chosen.est_delay_s(when) > config.shed_queue_s:
-                status[pos] = _ST_SHED
-                return
+        if (
+            config.shed_queue_s is not None
+            and chosen.est_delay_s(when) > config.shed_queue_s
+        ):
+            status[pos] = _ST_SHED
+            return
         admit_copy(pos, chosen, when)
 
     def on_retry(pos: int, when: float) -> None:

@@ -231,6 +231,12 @@ class TestClusterConfig:
             with pytest.raises(ServingError):
                 cluster_config(**{knob: 0.0})
 
+    def test_timeout_cap_requires_timeout(self):
+        # a cap on a backoff that never runs would be silently ignored.
+        with pytest.raises(ServingError, match="timeout_cap_s.*timeout_s"):
+            cluster_config(timeout_cap_s=0.32)
+        assert cluster_config(timeout_s=0.02, timeout_cap_s=0.32).timeout_cap_s == 0.32
+
     def test_unknown_policy_fails_fast(self):
         with pytest.raises(ServingError):
             ClusterRouter(cluster_config(policy="mystery"))

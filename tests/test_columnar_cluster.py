@@ -20,8 +20,10 @@ resolved completions).  These tests pin these contracts:
 * **record order under ties** — equal-time arrivals with out-of-order ids
   keep the reference router's ``(admitted_s, id)`` record order on both
   rails and on the single engine;
-* **fallback** — hedging and custom policies/schedulers route to the
-  reference loop (neither fast entry point may run), still returning
+* **custom riders** — registered custom policies, and custom schedulers
+  that declare a columnar kernel, ride both columnar rails;
+* **fallback** — hedging and schedulers without a declared kernel route to
+  the reference loop (neither fast entry point may run), still returning
   identical results, with the reason recorded on the result;
 * **differential fuzz** — hypothesis-drawn fleets, faults and traces give
   ``fast == reference`` and account for every request.
@@ -44,7 +46,6 @@ from repro.serving import columnar_cluster
 from repro.serving.cluster import (
     _POLICIES,
     AdmissionPolicy,
-    get_policy,
     register_policy,
 )
 from repro.serving.columnar_cluster import (
@@ -375,7 +376,7 @@ def _refuse_fast_path(*args, **kwargs):
 
 
 def _refuse_both_fast_paths(monkeypatch):
-    """Hedged / custom runs must enter neither fast entry point."""
+    """Hedged / kernel-less runs must enter neither fast entry point."""
     monkeypatch.setattr(columnar_cluster, "run_fast_cluster", _refuse_fast_path)
     monkeypatch.setattr(columnar_cluster, "run_fast_faulted", _refuse_fast_path)
 
@@ -408,25 +409,6 @@ class TestFallback:
         assert "hedge_after_s" in fast.fast_path_fallback_reason
         assert reference.fast_path_fallback_reason is None
 
-    def test_custom_policy_falls_back(self, monkeypatch):
-        class HighestIndexPolicy(AdmissionPolicy):
-            name = "test-highest-index"
-            description = "always the highest alive index (test-only)"
-
-            def choose(self, now, candidates, rng):
-                return candidates[-1]
-
-        register_policy(HighestIndexPolicy, replace=True)
-        _refuse_both_fast_paths(monkeypatch)
-        try:
-            fast = run_cluster("fast", scheduler="fifo", policy="test-highest-index")
-            reference = run_cluster(
-                "reference", scheduler="fifo", policy="test-highest-index"
-            )
-        finally:
-            _POLICIES.pop(HighestIndexPolicy.name, None)
-        assert fast == reference
-
     def test_subclassed_scheduler_falls_back(self, monkeypatch):
         class SubclassedFIFOScheduler(FIFOScheduler):
             name = "test-fifo-subclass"
@@ -444,6 +426,75 @@ class TestFallback:
         finally:
             _SCHEDULERS.pop(SubclassedFIFOScheduler.name, None)
         assert fast == reference
+
+
+class HighestIndexPolicy(AdmissionPolicy):
+    """Test-only: always the highest alive index."""
+
+    name = "test-highest-index"
+    description = "always the highest alive index (test-only)"
+
+    def choose(self, now, candidates, rng):
+        return candidates[-1]
+
+
+class MostLoadedPolicy(AdmissionPolicy):
+    """Test-only load prober: the largest ``est_delay_s``, ties to the
+    highest index."""
+
+    name = "test-most-loaded"
+    description = "largest estimated queue delay (test-only)"
+
+    def choose(self, now, candidates, rng):
+        return max(candidates, key=lambda r: (r.est_delay_s(now), r.index))
+
+
+class CoinFlipPolicy(AdmissionPolicy):
+    """Test-only randomized policy: a uniform draw from the router's
+    generator."""
+
+    name = "test-coin-flip"
+    description = "uniformly random alive replica (test-only)"
+
+    def choose(self, now, candidates, rng):
+        return candidates[int(rng.integers(len(candidates)))]
+
+
+class DeclaredFIFOScheduler(FIFOScheduler):
+    """Test-only fifo subclass that redeclares its columnar kernel."""
+
+    name = "test-fifo-declared"
+    description = "fifo subclass declaring the fifo kernel (test-only)"
+    columnar_kernel = "fifo"
+
+
+#: the two rails a custom rider must take, with the knobs that select them.
+RAILS = {
+    "columnar": {},
+    "columnar-faulted": dict(fault_profile="crash", timeout_s=0.02, timeout_cap_s=0.32),
+}
+
+
+class TestCustomRiders:
+    def test_custom_policy_rides_columnar(self):
+        register_policy(HighestIndexPolicy, replace=True)
+        try:
+            for rail, knobs in RAILS.items():
+                assert_backends_identical(
+                    rail, scheduler="fifo", policy="test-highest-index", **knobs
+                )
+        finally:
+            _POLICIES.pop(HighestIndexPolicy.name, None)
+
+    def test_kernel_declaring_scheduler_subclass_rides_both_rails(self):
+        register_scheduler(DeclaredFIFOScheduler, replace=True)
+        try:
+            for rail, knobs in RAILS.items():
+                assert_backends_identical(
+                    rail, scheduler="test-fifo-declared", policy="least-loaded", **knobs
+                )
+        finally:
+            _SCHEDULERS.pop(DeclaredFIFOScheduler.name, None)
 
 
 class TestSupportsFastPath:
@@ -469,17 +520,13 @@ class TestSupportsFastPath:
     def _probe(self, **kwargs):
         config = self._config(**kwargs)
         return (
-            fast_path_fallback_reason(
-                config, get_policy(config.policy), get_scheduler(config.scheduler)
-            )
+            fast_path_fallback_reason(config, get_scheduler(config.scheduler))
             is None
         )
 
     def _reason(self, **kwargs):
         config = self._config(**kwargs)
-        return fast_path_fallback_reason(
-            config, get_policy(config.policy), get_scheduler(config.scheduler)
-        )
+        return fast_path_fallback_reason(config, get_scheduler(config.scheduler))
 
     def test_rail_conditions_hold(self):
         for scheduler in SCHEDULERS:
@@ -513,11 +560,15 @@ class TestSupportsFastPath:
         assert needs(timeout_s=0.02)
 
 
+#: test-only custom policies the fuzz registers for its own examples.
+FUZZ_POLICIES = (MostLoadedPolicy, CoinFlipPolicy)
+
 #: one drawn cluster scenario: ClusterConfig overrides plus trace knobs.
 fleet_scenarios = st.fixed_dictionaries(
     {
         "scheduler": st.sampled_from(SCHEDULERS),
-        "policy": st.sampled_from(POLICIES),
+        # the built-ins plus two custom policies registered by the test.
+        "policy": st.sampled_from(POLICIES + tuple(p.name for p in FUZZ_POLICIES)),
         "shed_queue_s": st.sampled_from((None, 0.005, 0.02, 0.1)),
         "platforms": st.lists(
             st.sampled_from(("A", "B")), min_size=1, max_size=4
@@ -559,8 +610,14 @@ class TestDifferentialFuzz:
         if timeout_s is None:
             scenario["timeout_cap_s"] = None
         scenario.update(fault_profile=profile, timeout_s=timeout_s)
-        fast = run_cluster("fast", **scenario)
-        reference = run_cluster("reference", **scenario)
+        for policy_cls in FUZZ_POLICIES:
+            register_policy(policy_cls, replace=True)
+        try:
+            fast = run_cluster("fast", **scenario)
+            reference = run_cluster("reference", **scenario)
+        finally:
+            for policy_cls in FUZZ_POLICIES:
+                _POLICIES.pop(policy_cls.name, None)
         assert fast == reference
         assert fast.backend_used in ("columnar", "columnar-faulted")
         n = scenario["num_requests"]
