@@ -406,6 +406,12 @@ def bench_cluster_1m(quick: bool = False) -> dict:
       (``run_fast_faulted``) instead of the closed forms.  Asserted
       bit-identical to the reference and that the faulted rail was actually
       taken (``backend_used == "columnar-faulted"``); gated at >= 5x.
+    * ``crosscheck_least_loaded`` — the no-fault fifo fleet under
+      least-loaded at the served rate, which runs the routing pass on the
+      replica machines (round-robin without shedding is the ``i mod R``
+      closed form and never builds one).  Asserted bit-identical and on the
+      ``columnar`` rail; gated at >= 5x.  The served rate keeps the
+      reference loop to seconds: at the overload rate it takes minutes.
     * ``fleet_1m`` — 10^6 requests (10^5 under ``--quick``) across the same
       fleet on the fast path in a subprocess, reporting wall time and peak
       RSS; with the record cap the memory high-water mark tracks the trace
@@ -422,7 +428,9 @@ def bench_cluster_1m(quick: bool = False) -> dict:
     fleet_n = 100_000 if quick else 1_000_000
     replicas = 4
 
-    def build(backend: str, faulted: bool = False) -> ClusterRouter:
+    def build(
+        backend: str, faulted: bool = False, policy: str = "round-robin"
+    ) -> ClusterRouter:
         knobs = (
             # the faulted tier runs the dynamic scheduler at the served rate
             # with tight timeouts: the crash window plus ~13k timeout-driven
@@ -439,7 +447,7 @@ def bench_cluster_1m(quick: bool = False) -> dict:
         )
         config = ClusterConfig(
             model="gpt2", platforms=("A",) * replicas,
-            policy="round-robin", backend=backend, record_requests=512,
+            policy=policy, backend=backend, record_requests=512,
             **knobs,
         )
         return ClusterRouter(config, cache=PLAN_CACHE)
@@ -456,19 +464,19 @@ def bench_cluster_1m(quick: bool = False) -> dict:
     )
     assert fast_result == reference_result, "fast cluster diverged from reference!"
 
-    faulted_rate = _SERVED_FACTOR * fast_router.fleet_capacity_rps()
-    faulted_trace = make_trace(
-        "poisson", faulted_rate, crosscheck_n, rng=np.random.default_rng(0),
+    served_rate = _SERVED_FACTOR * fast_router.fleet_capacity_rps()
+    served_trace = make_trace(
+        "poisson", served_rate, crosscheck_n, rng=np.random.default_rng(0),
         decode_steps=(1, 4),
     )
     faulted_fast_s, faulted_fast = timed(
         lambda: build("fast", faulted=True).run(
-            faulted_trace, offered_rate_rps=faulted_rate
+            served_trace, offered_rate_rps=served_rate
         )
     )
     faulted_reference_s, faulted_reference = timed(
         lambda: build("reference", faulted=True).run(
-            faulted_trace, offered_rate_rps=faulted_rate
+            served_trace, offered_rate_rps=served_rate
         )
     )
     assert faulted_fast == faulted_reference, (
@@ -481,6 +489,24 @@ def bench_cluster_1m(quick: bool = False) -> dict:
     assert faulted_fast.num_retries > 0, (
         "faulted crosscheck produced no retries — the crash window missed"
         " the trace, so nothing was exercised"
+    )
+
+    least_loaded_fast_s, least_loaded_fast = timed(
+        lambda: build("fast", policy="least-loaded").run(
+            served_trace, offered_rate_rps=served_rate
+        )
+    )
+    least_loaded_reference_s, least_loaded_reference = timed(
+        lambda: build("reference", policy="least-loaded").run(
+            served_trace, offered_rate_rps=served_rate
+        )
+    )
+    assert least_loaded_fast == least_loaded_reference, (
+        "least-loaded fast cluster diverged from reference!"
+    )
+    assert least_loaded_fast.backend_used == "columnar", (
+        f"least-loaded crosscheck rode {least_loaded_fast.backend_used!r},"
+        " not the columnar rail"
     )
 
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
@@ -510,6 +536,16 @@ def bench_cluster_1m(quick: bool = False) -> dict:
             "reference_s": round(faulted_reference_s, 4),
             "fast_s": round(faulted_fast_s, 4),
             "speedup": round(faulted_reference_s / faulted_fast_s, 2),
+            "byte_identical": True,
+        },
+        "crosscheck_least_loaded": {
+            "num_requests": crosscheck_n,
+            "num_replicas": replicas,
+            "policy": "least-loaded",
+            "load_factor": _SERVED_FACTOR,
+            "reference_s": round(least_loaded_reference_s, 4),
+            "fast_s": round(least_loaded_fast_s, 4),
+            "speedup": round(least_loaded_reference_s / least_loaded_fast_s, 2),
             "byte_identical": True,
         },
         "fleet_1m": {"num_requests": fleet_n, "num_replicas": replicas, **fleet_1m},
@@ -616,6 +652,7 @@ def main(argv: list[str] | None = None) -> int:
     cluster_1m = payload["cluster_1m"]
     fleet_check = cluster_1m["crosscheck"]
     faulted_check = cluster_1m["crosscheck_faulted"]
+    least_loaded_check = cluster_1m["crosscheck_least_loaded"]
     fleet_1m = cluster_1m["fleet_1m"]
     print(
         f"cluster_1m: crosscheck@{fleet_check['num_requests']}"
@@ -626,6 +663,9 @@ def main(argv: list[str] | None = None) -> int:
         f" {faulted_check['num_retries']} retries)"
         f" {faulted_check['reference_s']}s -> {faulted_check['fast_s']}s"
         f" ({faulted_check['speedup']}x, bit-identical);"
+        f" least-loaded crosscheck {least_loaded_check['reference_s']}s ->"
+        f" {least_loaded_check['fast_s']}s ({least_loaded_check['speedup']}x,"
+        f" bit-identical);"
         f" {fleet_1m['num_requests']}-request fleet"
         f" {fleet_1m['wall_s']}s, peak RSS {fleet_1m['peak_rss_mb']} MB,"
         f" {fleet_1m['records_kept']} records kept"
@@ -688,6 +728,11 @@ def main(argv: list[str] | None = None) -> int:
     # retries through the lazy machines must still clear 5x.
     if not args.quick and faulted_check["speedup"] < 5.0:
         print("WARNING: columnar faulted-cluster speedup below the 5x target", file=sys.stderr)
+        return 1
+    # and for the routing pass: least-loaded probes every replica machine
+    # on every arrival, yet must still clear 5x.
+    if not args.quick and least_loaded_check["speedup"] < 5.0:
+        print("WARNING: columnar least-loaded speedup below the 5x target", file=sys.stderr)
         return 1
     return 0
 

@@ -53,9 +53,14 @@ replica launches at most one dispatch per pass (every dispatch pushes its
 ``ready_s`` strictly past the clock).  So a replica's next launch time is a
 pure function of its queue and occupancy registers — ``max(ready, head
 admit)`` for fifo/continuous, ``max(host_free, cap-th admit)`` for a full
-batch, ``max(host_free, head admit + max_wait)`` for a dynamic flush — and
-admissions at time T strictly precede launches at T (a machine advances
-with a strict ``< T`` bound inside every admission and delay probe).
+batch, ``max(host_free, head admit + max_wait)`` for a dynamic flush.  Each
+machine caches that time in ``next_s`` (``inf`` when nothing is pending),
+and every mutation of the registers refreshes it: the end of a launch, a
+queued-copy cancellation, a crash, the arrival stream draining, and an
+admission that leaves an idle machine or fills a batch (other appends move
+neither the head nor the cap-th admit).  Admissions at time T strictly
+precede launches at T, so an admission or delay probe at T first runs the
+launches with ``next_s < T`` — one float compare when there are none.
 During routing the global arrival stream is never exhausted, so static
 batching never flushes a partial batch inside the machines.
 """
@@ -83,6 +88,8 @@ from repro.serving.metrics import (
 )
 from repro.serving.scheduler import get_scheduler
 from repro.serving.trace import RequestTrace
+
+_INF = float("inf")
 
 
 def fast_path_fallback_reason(config, scheduler) -> "str | None":
@@ -124,14 +131,20 @@ class _Machine:
     """Virtual clock of one replica: replays launch times and queue-delay
     estimates without a scheduler object or heap events.
 
-    State is exactly what :meth:`_Replica.est_delay_s` reads — ``host_free``,
-    the per-device ``accel_free`` horizon, the scheduler's pending decode
-    steps, and the batch-1 latency of the active cost table — plus the
-    admitted queue (admit time, steps, trace position), the in-flight
-    positions and remaining steps of continuous batching, and ``flush_at``.
-    ``advance(T)`` executes every launch decided strictly before ``T`` with
-    the reference launch arithmetic verbatim, so a delay probe at an arrival
-    time sees the same registers as the scalar router's policy does.
+    State is what :meth:`_Replica.est_delay_s` reads — ``host_free``,
+    ``accel_free``, the scheduler's pending decode steps, and the batch-1
+    latency of the active cost table — plus the admitted queue (admit time,
+    steps, trace position), the in-flight positions and remaining steps of
+    continuous batching, and ``flush_at``.  ``accel_free`` is one float: every
+    accelerator row a machine prices targets its engine's one device (the
+    accel-loss fallback table runs on the host and never touches it).
+
+    Two cached registers keep probes and admissions at a float compare:
+    ``next_s``, the next launch time (``inf`` when none is pending), and
+    ``horizon``, ``max(host_free, accel_free)``.  ``advance(T)`` executes
+    every launch before ``T`` with the reference launch arithmetic verbatim,
+    so a delay probe at an arrival time sees the same registers as the
+    scalar router's policy does.
 
     The routing pass runs on this class as is; :class:`_SimReplica` adds
     faults and bookkeeping through two per-launch hooks,
@@ -148,6 +161,8 @@ class _Machine:
         "host_free",
         "ready_s",
         "accel_free",
+        "horizon",
+        "next_s",
         "pending_steps",
         "q_admit",
         "q_steps",
@@ -169,7 +184,9 @@ class _Machine:
         self._unit_s: "float | None" = None
         self.host_free = 0.0
         self.ready_s = 0.0
-        self.accel_free: dict = {}
+        self.accel_free = 0.0
+        self.horizon = 0.0
+        self.next_s = _INF
         self.pending_steps = 0
         self.q_admit: list[float] = []
         self.q_steps: list[int] = []
@@ -184,13 +201,11 @@ class _Machine:
         self.flush_at: "float | None" = None
 
     def est_delay_s(self, now: float) -> float:
-        """Verbatim :meth:`_Replica.est_delay_s` over the machine registers,
-        after executing every launch decided strictly before ``now``."""
-        self.advance(now)
-        horizon = self.host_free
-        for t in self.accel_free.values():
-            if t > horizon:
-                horizon = t
+        """:meth:`_Replica.est_delay_s` over the machine registers, after
+        executing every launch decided strictly before ``now``; the busy
+        horizon is the cached ``horizon``."""
+        if self.next_s < now:
+            self.advance(now)
         # row(1) on the *active* table: lazily priced exactly when the
         # reference's unit_latency_s() would first price it, then cached
         # until the active table swaps (probing policies call this for
@@ -199,60 +214,67 @@ class _Machine:
         if unit is None:
             unit = self._unit_s = self.active.row(1).total_s
         backlog = self.pending_steps * unit
-        delay = horizon - now
+        delay = self.horizon - now
         if delay < 0.0:
             delay = 0.0
         return delay + backlog
 
     def admit(self, when: float, steps: int, pos: int) -> None:
-        self.advance(when)
+        if self.next_s < when:
+            self.advance(when)
         self.q_admit.append(when)
         self.q_steps.append(steps)
         self.q_pos.append(pos)
         self.pending_steps += steps
+        # an append moves the next launch only off an idle machine or when
+        # it fills a batch (the head and cap-th admits are otherwise fixed).
+        if self.next_s == _INF or len(self.q_admit) - self.head == self.max_batch:
+            self._refresh()
+
+    def drain(self, at: float) -> None:
+        """The global arrival stream ran out at ``at``: partial batches flush
+        from now on.  Launches decided under the pre-drain rules materialize
+        first; advancing lazily across the switch would re-decide them under
+        the flush rule."""
+        self.advance(at)
+        self.flush_at = at
+        self._refresh()
 
     def advance(self, until: float) -> None:
         """Execute every launch decided strictly before ``until``."""
-        if self.head == len(self.q_admit) and not self.flight_pos:
-            return  # nothing queued or in flight: no launch can be pending
-        while True:
-            t = self._next_launch()
-            if t is None or t >= until:
-                return
-            self._launch(t)
+        while self.next_s < until:
+            self._launch(self.next_s)
 
-    def _next_launch(self) -> "float | None":
+    def _refresh(self) -> None:
+        """Recompute ``next_s`` from the queue and occupancy registers; every
+        mutation of them ends here."""
         kind = self.kind
-        if kind == "continuous":
-            if self.flight_pos:
-                return self.ready_s
-            if self.head < len(self.q_admit):
-                a = self.q_admit[self.head]
-                return a if a > self.ready_s else self.ready_s
-            return None
         qlen = len(self.q_admit) - self.head
-        if qlen == 0:
-            return None
-        if kind == "fifo":
+        if kind == "continuous" and self.flight_pos:
+            t = self.ready_s
+        elif qlen == 0:
+            t = _INF
+        elif kind == "fifo" or kind == "continuous":
             a = self.q_admit[self.head]
-            return a if a > self.ready_s else self.ready_s
-        if qlen >= self.max_batch:
+            t = a if a > self.ready_s else self.ready_s
+        elif qlen >= self.max_batch:
             a = self.q_admit[self.head + self.max_batch - 1]
-            return a if a > self.host_free else self.host_free
-        flush_at = self.flush_at
-        if flush_at is not None:
+            t = a if a > self.host_free else self.host_free
+        elif self.flush_at is not None:
             # arrivals drained: partial batches dispatch at the first decide
             # pass, for static and dynamic alike (the deadline rule is gone).
-            t = self.q_admit[self.head]
-            if flush_at > t:
-                t = flush_at
-            return t if t > self.host_free else self.host_free
-        if kind == "dynamic":
+            a = self.q_admit[self.head]
+            if self.flush_at > a:
+                a = self.flush_at
+            t = a if a > self.host_free else self.host_free
+        elif kind == "dynamic":
             d = self.q_admit[self.head] + self.max_wait_s
-            return d if d > self.host_free else self.host_free
-        # static partial batches flush only once the *global* arrival stream
-        # is exhausted.
-        return None
+            t = d if d > self.host_free else self.host_free
+        else:
+            # static partial batches flush only once the *global* arrival
+            # stream is exhausted.
+            t = _INF
+        self.next_s = t
 
     def _launch(self, t: float) -> None:
         kind = self.kind
@@ -313,6 +335,7 @@ class _Machine:
             del self.q_steps[: self.head]
             del self.q_pos[: self.head]
             self.head = 0
+        self._refresh()
 
     def _multiplier(self) -> float:
         """Straggler multiplier for the next launch (exactly 1.0 here)."""
@@ -329,10 +352,9 @@ class _Machine:
         total_s = cost.total_s * multiplier
         cursor = start
         if cost.has_accel:
-            target = cost.target
-            # one dict read/write per dispatch, not per iteration: only this
-            # target's free time and the host cursor evolve inside the loop.
-            accel_start = self.accel_free.get(target, 0.0)
+            # only the accelerator's free time and the host cursor evolve
+            # inside the loop.
+            accel_start = self.accel_free
             host_end = cursor
             for _ in range(iterations):
                 host_end = cursor + host_s
@@ -344,12 +366,17 @@ class _Machine:
                     end = accel_start + accel_s
                 accel_start = end
                 cursor = end
-            self.accel_free[target] = accel_start
+            self.accel_free = accel_start
             self.host_free = host_end
+            top = accel_start if accel_start > host_end else host_end
         else:
             for _ in range(iterations):
                 cursor = cursor + total_s
-            self.host_free = cursor
+            self.host_free = top = cursor
+        # both registers only grow between crashes, so the busy horizon is
+        # their running max.
+        if top > self.horizon:
+            self.horizon = top
         return cursor
 
 
@@ -653,6 +680,7 @@ class _SimReplica(_Machine):
         del self.q_admit[i]
         del self.q_steps[i]
         del self.q_pos[i]
+        self._refresh()
 
     # -- fault transitions -------------------------------------------------
 
@@ -690,8 +718,10 @@ class _SimReplica(_Machine):
         self.flight_rem = []
         self.pending_steps = 0
         self.host_free = 0.0
-        self.accel_free.clear()
+        self.accel_free = 0.0
+        self.horizon = 0.0
         self.ready_s = when
+        self.next_s = _INF
         return lost_now
 
     # -- per-launch hooks ----------------------------------------------------
@@ -946,14 +976,8 @@ def run_fast_faulted(
                 arrive_index += 1
                 on_arrival(pos, arrival_s)
                 if arrive_index == n:
-                    # arrivals drained: partial batches flush from now on.
-                    # Materialize every launch decided under the pre-drain
-                    # rules first — flush_at changes what _next_launch
-                    # returns, so advancing lazily across the transition
-                    # would re-decide those launches under the wrong rule.
                     for machine in machines:
-                        machine.advance(arrival_s)
-                        machine.flush_at = arrival_s
+                        machine.drain(arrival_s)
                 continue
         if head is None:
             break
@@ -970,7 +994,7 @@ def run_fast_faulted(
             on_retry(pos, when)
 
     for machine in machines:
-        machine.advance(float("inf"))
+        machine.advance(_INF)
     for pos in range(n):
         if status[pos] != _PENDING:
             continue

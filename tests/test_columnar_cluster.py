@@ -17,6 +17,8 @@ resolved completions).  These tests pin these contracts:
   timeout retries ride ``run_fast_faulted`` (the no-fault kernels must not
   run) and stay bit-identical to the reference loop, including retry
   exhaustion, shed-under-fault, and capped streaming metrics;
+* **cached launch registers** — configs where a stale cached next launch
+  or busy horizon on a replica machine would change the result;
 * **record order under ties** — equal-time arrivals with out-of-order ids
   keep the reference router's ``(admitted_s, id)`` record order on both
   rails and on the single engine;
@@ -304,6 +306,52 @@ class TestFaultedFastPath:
         assert result.backend_used == "columnar-faulted"
 
 
+class TestCachedLaunchRegisters:
+    """The machines cache their next launch (``next_s``) and busy horizon
+    (``horizon``); these configs diverge from the reference when either
+    register goes stale."""
+
+    @pytest.mark.parametrize("faults", ("none", "crash"))
+    @pytest.mark.parametrize("load", (0.5, 0.9, 1.3))
+    @pytest.mark.parametrize("max_batch", (2, 4))
+    @pytest.mark.parametrize("policy", ("least-loaded", "power-of-two-choices"))
+    def test_batch_filling_admit_moves_next_launch(
+        self, policy, max_batch, load, faults
+    ):
+        # a dynamic queue that reaches max_batch launches at its cap-th
+        # admit instead of its head's max_wait deadline.
+        knobs = (
+            dict(fault_profile="crash", timeout_s=0.05) if faults == "crash" else {}
+        )
+        assert_backends_identical(
+            expect_backend="columnar-faulted" if knobs else "columnar",
+            scheduler="dynamic",
+            policy=policy,
+            max_batch=max_batch,
+            platforms=("A", "A", "B"),
+            load=load,
+            seed=1,
+            **knobs,
+        )
+
+    def test_crash_resets_busy_horizon(self):
+        # long decodes keep one dispatch running past the crash window, so a
+        # horizon left over from before the crash would skew the next probe.
+        assert_backends_identical(
+            expect_backend="columnar-faulted",
+            scheduler="fifo",
+            policy="least-loaded",
+            platforms=("A", "A"),
+            fault_profile="crash",
+            fault_seed=0,
+            timeout_s=0.5,
+            max_retries=3,
+            num_requests=16,
+            load=0.5,
+            decode_steps=(16, 64),
+        )
+
+
 def tie_trace(rate: float, num_requests: int = 60, seed: int = 0) -> RequestTrace:
     """Poisson arrivals snapped onto a coarse grid, so many land on the same
     instant, with shuffled request ids: equal-time arrivals carry
@@ -587,10 +635,11 @@ fleet_scenarios = st.fixed_dictionaries(
         # applied only when the scenario sets a timeout.
         "timeout_cap_s": st.sampled_from((None, 0.03, 0.2)),
         "deadline_s": st.sampled_from((None, 0.05)),
-        "max_batch": st.sampled_from((1, 2, 8)),
+        "max_batch": st.sampled_from((1, 2, 4, 8)),
         "record_requests": st.sampled_from((None, 1, 16)),
         "trace_kind": st.sampled_from(("poisson", "bursty", "closed-loop")),
         "num_requests": st.integers(1, 200),
+        "decode_steps": st.sampled_from(((1, 4), (16, 64))),
         "load": st.sampled_from((0.5, 1.0, 2.0)),
         "seed": st.integers(0, 2**16),
     }
