@@ -195,6 +195,35 @@ def plan_arrays(plan: ExecutionPlan) -> PlanArrays:
     return arrays
 
 
+#: ``_DTYPE_CODE`` as a table indexed by position in ``tuple(DType)``.
+_DTYPE_CODE_TABLE = np.array([_DTYPE_CODE.get(d, _DTYPE_OTHER) for d in DType], dtype=np.int64)
+
+
+def arrays_from_columns(encoded: dict) -> PlanArrays:
+    """:func:`plan_arrays` of a plan, derived from its columnar kernel encoding.
+
+    ``encoded`` is the dict :func:`repro.sweep.store._encode_kernels` builds;
+    its category, device and dtype columns index ``tuple(OpCategory)``,
+    ``tuple(DeviceKind)`` and ``tuple(DType)``.  The result equals the
+    per-kernel walk array for array, dtypes included, at the cost of a few
+    vector operations instead of a pass over every kernel.
+    """
+    category = encoded["category"].astype(np.int64)
+    return PlanArrays(
+        category_idx=category,
+        device_idx=encoded["device"].astype(np.int64),
+        is_gemm=category == _CATEGORY_INDEX[OpCategory.GEMM],
+        flops=encoded["flops"].astype(np.float64),
+        total_bytes=(encoded["bytes_read"] + encoded["bytes_written"]).astype(np.float64),
+        metadata_only=encoded["metadata_only"].astype(bool),
+        is_custom=encoded["is_custom"].astype(bool),
+        launch_count=encoded["launch_count"].astype(np.float64),
+        dtype_code=_DTYPE_CODE_TABLE[encoded["dtype"]],
+        transfer_in=encoded["transfer_in"].astype(np.float64),
+        transfer_out=encoded["transfer_out"].astype(np.float64),
+    )
+
+
 @dataclass(frozen=True)
 class DeviceTables:
     """Per-device-kind simulation parameters of one platform.

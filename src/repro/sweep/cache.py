@@ -39,6 +39,7 @@ but share the persistent store directory (writes are atomic).
 
 from __future__ import annotations
 
+import gc
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -87,6 +88,23 @@ def _register_builtin_transforms() -> None:
     from repro.quant import quantize_llm_int8
 
     register_transform("llm-int8", quantize_llm_int8, replace=True)
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Disable the cyclic garbage collector over one bulk construction.
+
+    Re-entrant: only a pause that found the collector enabled re-enables it,
+    so nested misses and callers that switched it off keep their state.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class GraphRef:
@@ -179,6 +197,13 @@ class PlanCache:
     a content-addressed on-disk :class:`~repro.sweep.store.ArtifactStore`
     consulted on LRU misses for plans, memory profiles, and transform
     outputs.  Every disk hit is promoted into the LRU.
+
+    The cyclic garbage collector is paused over each graph, plan and memory
+    miss computation: those allocate hundreds of thousands of long-lived
+    objects, and the collections their allocation count triggers re-walk
+    everything built so far while freeing almost nothing — about a quarter
+    of a cold sweep.  Each pause ends with its miss, so cyclic garbage
+    waits at most one build; hits never touch the collector.
     """
 
     def __init__(self, max_entries: int = 256, store: ArtifactStore | None = None):
@@ -292,7 +317,8 @@ class PlanCache:
             if cached.content_hash() == stamp:
                 return cached
         self.stats.miss("graph")
-        cached = build_model(model, batch_size=batch_size, **overrides)
+        with _gc_paused():
+            cached = build_model(model, batch_size=batch_size, **overrides)
         # registry builders are deterministic, so the build key identifies
         # the structure exactly; stamping it as the content hash spares a
         # full structural walk per graph (any later mutation clears it).
@@ -368,12 +394,13 @@ class PlanCache:
                 sibling = self._peek(("plan", pipeline_sig, graph_hash, other.value))
                 if sibling is not None:
                     break
-        if sibling is not None:
-            plan = flow.derive_plan(sibling, target)
-        else:
-            plan = flow.lower(graph.materialize(), use_gpu=target)
-        if self.store is not None:  # don't pay the columnar encoding for a no-op
-            self.store.put(key, plan_payload(plan))
+        with _gc_paused():
+            if sibling is not None:
+                plan = flow.derive_plan(sibling, target)
+            else:
+                plan = flow.lower(graph.materialize(), use_gpu=target)
+            if self.store is not None:  # don't pay the columnar encoding for a no-op
+                self.store.put(key, plan_payload(plan))
         self._put(key, plan)
         return plan
 
@@ -430,7 +457,8 @@ class PlanCache:
             cached = self._store_get(key)
             if cached is None:
                 self.stats.miss("memory")
-                cached = profile_memory(graph.materialize())
+                with _gc_paused():
+                    cached = profile_memory(graph.materialize())
                 self._store_put(key, cached)
             self._put(key, cached)
         return cached  # type: ignore[return-value]

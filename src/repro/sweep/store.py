@@ -59,7 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 #: (pickled :class:`~repro.serving.cost.BatchCost` per plan key + platform
 #: signature); the bump retires any same-named entries an older layout
 #: could have left behind.
-STORE_SCHEMA_VERSION = 3
+#: v4: plan payloads drop the pickled ``"arrays"`` entry; loaders derive the
+#: simulator arrays from the kernel columns instead.
+STORE_SCHEMA_VERSION = 4
 
 #: default size cap; override with REPRO_CACHE_MAX_MB.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -393,19 +395,23 @@ class ArtifactStore:
 # Plans are persisted *without* their source graph: the store key already
 # pins the graph's content hash, so the loader re-attaches whatever graph
 # (or lazy GraphRef) the caller resolved — typically without ever building
-# it.  The payload also carries the plan's memoized derivatives (simulator
-# arrays, fusion rate, coverage count) so a warm-from-disk process skips
-# those walks too.
+# it.  The payload also carries the plan's memoized scalar derivatives
+# (fusion rate, coverage count) so a warm-from-disk process skips those
+# walks too.
 #
 # Kernels are the bulk of a plan — tens of thousands of NamedTuples whose
 # generic unpickling dominates a warm-from-disk run.  They are therefore
 # encoded *columnar* (numpy arrays for the numeric fields, a deduplicated
-# vocabulary for the op-kind tuples) and decoded lazily: the profiling hot
-# path reads only the pre-seeded simulator arrays and scalar derivatives, so
-# a loaded plan usually never rebuilds a single PlannedKernel.
+# vocabulary for the op-kind tuples) and decoded lazily.  The simulator
+# arrays are not stored: writer and loader derive them from the columns
+# (:func:`~repro.runtime.simulator.arrays_from_columns`), and the profiling
+# hot path reads only them and the scalar derivatives, so a loaded plan
+# usually never rebuilds a single PlannedKernel.
 
 #: columnar values above this are ruled out (int64 overflow); such plans
-#: fall back to pickling the kernel list directly.
+#: fall back to pickling the kernel list directly.  The byte total is checked
+#: too: :func:`~repro.runtime.simulator.arrays_from_columns` sums the two
+#: byte columns in int64.
 _INT64_SAFE = 2**62
 
 
@@ -431,6 +437,7 @@ def _encode_kernels(kernels: "list") -> dict | None:
             k.cost.flops > _INT64_SAFE
             or k.cost.bytes_read > _INT64_SAFE
             or k.cost.bytes_written > _INT64_SAFE
+            or k.cost.bytes_read + k.cost.bytes_written > _INT64_SAFE
             or k.transfer_bytes_in > _INT64_SAFE
             or k.transfer_bytes_out > _INT64_SAFE
         ):
@@ -561,8 +568,12 @@ class LazyKernelList:
 
 
 def plan_payload(plan: "ExecutionPlan") -> dict:
-    """The persistable view of a lowered plan (everything but the graph)."""
-    from repro.runtime.simulator import plan_arrays
+    """The persistable view of a lowered plan (everything but the graph).
+
+    Encoding walks the kernels once; the plan's simulator arrays, when not
+    yet cached, are seeded from the same columns instead of a second walk.
+    """
+    from repro.runtime.simulator import _PLAN_ARRAYS_ATTR, arrays_from_columns
 
     kernels = plan.kernels
     if isinstance(kernels, LazyKernelList):
@@ -570,6 +581,8 @@ def plan_payload(plan: "ExecutionPlan") -> dict:
     else:
         encoded = _encode_kernels(kernels)
         pickled = None if encoded is not None else kernels
+    if encoded is not None and getattr(plan, _PLAN_ARRAYS_ATTR, None) is None:
+        setattr(plan, _PLAN_ARRAYS_ATTR, arrays_from_columns(encoded))
     return {
         "flow": plan.flow,
         "dispatch_profile": plan.dispatch_profile,
@@ -583,7 +596,6 @@ def plan_payload(plan: "ExecutionPlan") -> dict:
         # needs them moments later anyway), free for every later process.
         "fusion_rate": plan.non_gemm_fusion_rate(),
         "covered_nodes": plan.covered_node_count(),
-        "arrays": plan_arrays(plan),
     }
 
 
@@ -591,12 +603,13 @@ def plan_from_payload(payload: dict, graph: "Graph") -> "ExecutionPlan":
     """Rebuild an :class:`ExecutionPlan` around the caller's graph handle.
 
     ``graph`` may be a materialized :class:`~repro.ir.graph.Graph` or a lazy
-    :class:`~repro.sweep.cache.GraphRef`; the pre-seeded derivatives and the
-    lazily-decoded kernel list serve the whole profiling path, so neither
-    the graph nor the kernels are built unless something walks them.
+    :class:`~repro.sweep.cache.GraphRef`; the pre-seeded derivatives, the
+    simulator arrays derived from the kernel columns, and the lazily-decoded
+    kernel list serve the whole profiling path, so neither the graph nor the
+    kernels are built unless something walks them.
     """
     from repro.flows.plan import ExecutionPlan
-    from repro.runtime.simulator import _PLAN_ARRAYS_ATTR
+    from repro.runtime.simulator import _PLAN_ARRAYS_ATTR, arrays_from_columns
 
     encoded = payload["kernels_columnar"]
     kernels = LazyKernelList(encoded) if encoded is not None else payload["kernels_pickled"]
@@ -612,7 +625,8 @@ def plan_from_payload(payload: dict, graph: "Graph") -> "ExecutionPlan":
     )
     plan.__dict__["_non_gemm_fusion_rate"] = payload["fusion_rate"]
     plan.__dict__["_covered_node_count"] = payload["covered_nodes"]
-    setattr(plan, _PLAN_ARRAYS_ATTR, payload["arrays"])
+    if encoded is not None:
+        setattr(plan, _PLAN_ARRAYS_ATTR, arrays_from_columns(encoded))
     return plan
 
 

@@ -14,19 +14,43 @@ import subprocess
 import sys
 from pathlib import Path
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.flows import get_flow
 from repro.hardware import PLATFORM_A
-from repro.models import build_model
+from repro.models import build_model, list_models
+from repro.ops.base import OpCost
 from repro.profiler import profile_graph
 from repro.profiler.profiler import profile_graph as profile_graph_direct
+from repro.runtime.simulator import (
+    _PLAN_ARRAYS_ATTR,
+    PlanArrays,
+    arrays_from_columns,
+    plan_arrays,
+)
 from repro.sweep.cache import GraphRef, PlanCache
 from repro.sweep.spec import SweepSpec
-from repro.sweep.store import ArtifactStore, LazyKernelList, plan_from_payload, plan_payload
+from repro.sweep.store import (
+    _INT64_SAFE,
+    ArtifactStore,
+    LazyKernelList,
+    _encode_kernels,
+    plan_from_payload,
+    plan_payload,
+)
 
 MODEL = "segformer"
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def assert_same_arrays(actual: PlanArrays, expected: PlanArrays) -> None:
+    for field in dataclasses.fields(PlanArrays):
+        got, want = getattr(actual, field.name), getattr(expected, field.name)
+        assert got.dtype == want.dtype, field.name
+        assert np.array_equal(got, want), field.name
 
 
 def make_store(tmp_path, **kwargs) -> ArtifactStore:
@@ -400,6 +424,48 @@ class TestPayloads:
             assert list(restored.kernels) == plan.kernels
             assert restored.content_hash() == plan.content_hash()
             assert restored.non_gemm_fusion_rate() == plan.non_gemm_fusion_rate()
+
+    @pytest.mark.parametrize("use_gpu", [True, False], ids=["gpu", "cpu"])
+    def test_arrays_from_columns_match_the_kernel_walk(self, use_gpu):
+        # the store derives every encoded plan's simulator arrays from its
+        # columns; they must equal the per-kernel walk, dtypes included.
+        flow = get_flow("pytorch")
+        for entry in list_models():
+            plan = flow.lower(build_model(entry.name, batch_size=1), use_gpu=use_gpu)
+            derived = arrays_from_columns(_encode_kernels(plan.kernels))
+            assert_same_arrays(derived, plan_arrays(plan))
+
+    def test_plan_payload_stores_no_arrays_and_seeds_them(self):
+        graph = build_model("swin-t", batch_size=1)
+        plan = get_flow("pytorch").lower(graph, use_gpu=True)
+        payload = plan_payload(plan)
+        assert "arrays" not in payload
+        # the writer's plan is seeded from the columns, not walked again
+        seeded = getattr(plan, _PLAN_ARRAYS_ATTR)
+        assert_same_arrays(seeded, arrays_from_columns(payload["kernels_columnar"]))
+        restored = plan_from_payload(pickle.loads(pickle.dumps(payload)), graph)
+        assert_same_arrays(getattr(restored, _PLAN_ARRAYS_ATTR), seeded)
+
+    @pytest.mark.parametrize(
+        "cost",
+        [OpCost(_INT64_SAFE + 1, 8, 8), OpCost(4, _INT64_SAFE, _INT64_SAFE)],
+        ids=["flops", "byte-total"],
+    )
+    def test_int64_overflow_falls_back_to_pickled_kernels(self, cost):
+        graph = build_model("segformer", batch_size=1)
+        lowered = get_flow("pytorch").lower(graph, use_gpu=True)
+        kernels = list(lowered.kernels)
+        kernels[0] = kernels[0]._replace(cost=cost)
+        plan = dataclasses.replace(lowered, kernels=kernels)
+        payload = plan_payload(plan)
+        assert payload["kernels_columnar"] is None
+        assert payload["kernels_pickled"] == kernels
+        restored = plan_from_payload(pickle.loads(pickle.dumps(payload)), graph)
+        assert not isinstance(restored.kernels, LazyKernelList)
+        assert restored.kernels == kernels
+        # no columns to derive from: both sides take the per-kernel walk
+        assert getattr(restored, _PLAN_ARRAYS_ATTR, None) is None
+        assert_same_arrays(plan_arrays(restored), plan_arrays(plan))
 
     def test_sweep_result_reports_disk_hits(self, tmp_path, monkeypatch):
         from repro.sweep import cache as cache_module

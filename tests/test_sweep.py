@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.models import build_model
 from repro.profiler import profile_graph
 from repro.runtime.memory import profile_memory
 from repro.runtime.simulator import simulate, simulate_reference, use_reference_backend
-from repro.sweep.cache import PLAN_CACHE, PlanCache
+from repro.sweep.cache import PLAN_CACHE, GraphRef, PlanCache
 from repro.sweep.runner import SweepRunner, run_point
 from repro.sweep.spec import SweepPoint, SweepSpec
 
@@ -299,6 +301,100 @@ class TestPlanCache:
         first = cache.transform("llm-int8", graph)
         assert cache.transform("llm-int8", graph) is first
         assert first.graph.content_hash() != graph.content_hash()
+
+
+class TestGCPause:
+    """PlanCache holds off the cyclic collector over misses, re-entrantly."""
+
+    @staticmethod
+    def spy(monkeypatch, target, name: str, seen: list) -> None:
+        """Record the collector state each time ``target.name`` runs."""
+        real = getattr(target, name)
+
+        def spied(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, spied)
+
+    def test_collector_paused_over_each_miss_and_enabled_after(self, monkeypatch):
+        import repro.runtime.memory as memory_module
+        from repro.sweep import cache as cache_module
+
+        flow = get_flow("pytorch")
+        seen: list[bool] = []
+        self.spy(monkeypatch, cache_module, "build_model", seen)
+        self.spy(monkeypatch, type(flow), "lower", seen)
+        self.spy(monkeypatch, memory_module, "profile_memory", seen)
+        cache = PlanCache()
+        assert gc.isenabled()
+        graph = cache.graph("segformer", batch_size=1)
+        assert gc.isenabled()
+        cache.plan(flow, graph, use_gpu=True)
+        assert gc.isenabled()
+        cache.memory(graph)
+        assert gc.isenabled()
+        assert seen == [False, False, False]
+        # hits compute nothing, so nothing runs paused
+        cache.graph("segformer", batch_size=1)
+        cache.plan(flow, graph, use_gpu=True)
+        cache.memory(graph)
+        assert len(seen) == 3 and gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        cache = PlanCache()
+        gc.disable()
+        try:
+            graph = cache.graph("segformer", batch_size=1)
+            assert not gc.isenabled()
+            cache.plan(get_flow("pytorch"), graph, use_gpu=True)
+            assert not gc.isenabled()
+            cache.memory(graph)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_raising_builder_leaves_collector_enabled(self):
+        from repro.models.registry import _REGISTRY, ModelEntry, TaskDomain, register_model
+
+        def build(config, batch_size=1):
+            raise RuntimeError("builder failed")
+
+        register_model(ModelEntry("gc-pause-raises", TaskDomain.NLP, build, None, "-", "-"))
+        try:
+            with pytest.raises(RuntimeError, match="builder failed"):
+                PlanCache().graph("gc-pause-raises", batch_size=1)
+            assert gc.isenabled()
+        finally:
+            _REGISTRY.pop("gc-pause-raises")
+
+    def test_nested_miss_restores_state_once(self, monkeypatch):
+        from repro.sweep import cache as cache_module
+
+        calls: list[str] = []
+
+        class RecordingGC:
+            enabled = True
+
+            def isenabled(self) -> bool:
+                return self.enabled
+
+            def disable(self) -> None:
+                calls.append("disable")
+                self.enabled = False
+
+            def enable(self) -> None:
+                calls.append("enable")
+                self.enabled = True
+
+        monkeypatch.setattr(cache_module, "gc", RecordingGC())
+        cache = PlanCache()
+        ref = cache.graph_ref("segformer", batch_size=1)
+        assert isinstance(ref, GraphRef)
+        # the plan miss materializes the ref: a graph miss inside it
+        cache.plan(get_flow("pytorch"), ref, use_gpu=True)
+        assert cache.stats.misses == {"graph": 1, "plan": 1}
+        assert calls == ["disable", "enable"]
 
 
 class TestSweepSpec:
