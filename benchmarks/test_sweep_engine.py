@@ -1,11 +1,11 @@
 """Sweep engine bench: end-to-end speedup of the fig6 grid vs the seed path.
 
 The reference leg disables memoization and routes the simulator through the
-scalar per-kernel estimator — the seed implementation's algorithm — then the
-engine regenerates the same grid cold (empty cache) and warm.  Output rows
-must be byte-identical across all three; the measured speedups land in the
-benchmark's extra_info (and ``scripts/bench_sweep.py`` writes them to
-``BENCH_sweep.json``).  A second benchmark times the persistent-store tier:
+scalar per-kernel oracle (``tests/oracles/simulator.py``) — the seed
+implementation's algorithm — then the engine regenerates the same grid cold
+(empty cache) and warm.  Output rows must be byte-identical across all
+three; the measured speedups land in the benchmark's extra_info (and
+``scripts/bench_sweep.py`` writes them to ``BENCH_sweep.json``).  A second benchmark times the persistent-store tier:
 a fresh in-memory cache backed by a warm artifact store, i.e. what every new
 process pays.
 """
@@ -13,9 +13,9 @@ process pays.
 import time
 
 from repro.analysis import run_fig6
-from repro.runtime.simulator import use_reference_backend
 from repro.sweep.cache import PLAN_CACHE
 from repro.sweep.store import ArtifactStore
+from tests.oracles.simulator import scalar_simulator
 
 
 def test_sweep_engine_speedup(benchmark, results_dir):
@@ -26,7 +26,7 @@ def test_sweep_engine_speedup(benchmark, results_dir):
     try:
         PLAN_CACHE.store = None
         PLAN_CACHE.clear()
-        with PLAN_CACHE.disabled(), use_reference_backend():
+        with PLAN_CACHE.disabled(), scalar_simulator():
             start = time.perf_counter()
             reference = run_fig6(iterations=2)
             reference_s = time.perf_counter() - start

@@ -3,7 +3,8 @@
 Times the figure-6 grid (the repo's heaviest harness) across five tiers:
 
 * ``reference``         — memoization disabled and the scalar per-kernel
-  simulator: the seed implementation's algorithm (per-point
+  simulator oracle (``tests/oracles/simulator.py``, swapped in by
+  ``scalar_simulator()``): the seed implementation's algorithm (per-point
   build/lower/simulate with 142k Python-level ``estimate_kernel`` calls),
   run through today's harness.
 * ``engine_cold``       — the sweep engine from an empty cache, no disk
@@ -32,7 +33,10 @@ service tail).  The ``cluster_1m`` tier does the same for the columnar
 *fleet* fast path: a 4-replica cross-check asserted bit-identical and
 gated at 5x, plus a faulted cross-check (crash window + timeout retries
 on the event-replaying faulted rail) gated at 5x, plus a 10^6-request
-fleet run.  Results land in ``BENCH_sweep.json`` at the repo
+fleet run.  Outside ``--quick`` every cross-check gate times
+``GATE_PAIRS`` alternating fast/reference pairs, asserts equality and the
+expected backends on each, and gates on the median pair ratio (each pair's
+ratio is recorded).  Results land in ``BENCH_sweep.json`` at the repo
 root for the performance trajectory.
 
 Usage::
@@ -47,17 +51,25 @@ import gc
 import json
 import platform as platform_mod
 import shutil
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 from repro import analysis
-from repro.runtime.simulator import use_reference_backend
 from repro.sweep.cache import PLAN_CACHE
 from repro.sweep.store import ArtifactStore
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# the reference tier's scalar simulator is a test oracle under tests/oracles/
+sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles.simulator import scalar_simulator  # noqa: E402
+
+#: fast/reference pairs each speedup gate times outside ``--quick``; the gate
+#: reads the median pair ratio, so one pair slowed by a noisy neighbour on a
+#: shared machine cannot flip it.
+GATE_PAIRS = 3
 
 #: the full harness suite, with the iteration counts the benchmarks use
 SUITE = {
@@ -96,6 +108,53 @@ def timed(fn):
     return elapsed, result
 
 
+def timed_pairs(fast, reference, check, pairs: int) -> tuple:
+    """Time ``pairs`` fast/reference runs of one cross-check, alternating
+    which side goes first so drift in machine load hits both sides.
+
+    ``check(fast_result, reference_result)`` runs on every pair.  Returns
+    the last pair's fast result and the timing payload: median times, each
+    pair's ratio, and ``speedup`` — the median ratio the gates read.
+    """
+    fast_times, reference_times, ratios = [], [], []
+    for pair in range(pairs):
+        if pair % 2:
+            reference_s, reference_result = timed(reference)
+            fast_s, fast_result = timed(fast)
+        else:
+            fast_s, fast_result = timed(fast)
+            reference_s, reference_result = timed(reference)
+        check(fast_result, reference_result)
+        fast_times.append(fast_s)
+        reference_times.append(reference_s)
+        ratios.append(reference_s / fast_s)
+    return fast_result, {
+        "pairs": pairs,
+        "reference_s": round(statistics.median(reference_times), 4),
+        "fast_s": round(statistics.median(fast_times), 4),
+        "pair_speedups": [round(ratio, 2) for ratio in ratios],
+        "speedup": round(statistics.median(ratios), 2),
+        "byte_identical": True,
+    }
+
+
+def equal_on_rail(label: str, rail: str):
+    """A :func:`timed_pairs` check: the fast result equals the reference
+    one, and each side rode its expected backend (``backend_used`` is
+    excluded from result equality, so it is asserted separately)."""
+
+    def check(fast_result, reference_result) -> None:
+        assert fast_result == reference_result, f"{label}: fast diverged from reference!"
+        assert fast_result.backend_used == rail, (
+            f"{label}: fast run rode {fast_result.backend_used!r}, not {rail!r}"
+        )
+        assert reference_result.backend_used == "reference", (
+            f"{label}: reference run rode {reference_result.backend_used!r}"
+        )
+
+    return check
+
+
 def bench_tiers(runner, describe) -> tuple:
     """Run one workload through all five engine tiers and check equivalence.
 
@@ -108,7 +167,7 @@ def bench_tiers(runner, describe) -> tuple:
     try:
         PLAN_CACHE.store = None
         PLAN_CACHE.clear()
-        with PLAN_CACHE.disabled(), use_reference_backend():
+        with PLAN_CACHE.disabled(), scalar_simulator():
             reference_s, reference = timed(runner)
 
         PLAN_CACHE.clear()
@@ -269,15 +328,17 @@ def bench_serving_1m(quick: bool = False) -> dict:
     Two measurements:
 
     * cross-checks — fifo, dynamic, and continuous at 10^5 requests (10^4
-      under ``--quick``), fast vs reference backend in-process, results
-      asserted equal with a ``record_requests`` cap so both sides build the
-      same streamed metrics.  The reference backend cannot reasonably run
-      10^6 requests, so the speedup gates live here: fifo (the highest
-      events-per-second scheduler, nothing batched to amortize the scalar
-      loop) at 5x; dynamic and continuous at 6x — their kernels resolve
-      batch costs through dense ``BatchCostModel.cost_table`` lookups, so
-      they carry the same columnar headroom as fifo rather than paying a
-      per-launch cost-model call.
+      under ``--quick``), fast vs reference backend in-process over
+      ``GATE_PAIRS`` alternating pairs (one under ``--quick``), results
+      asserted equal on every pair with a ``record_requests`` cap so both
+      sides build the same streamed metrics.  The reference backend cannot
+      reasonably run 10^6 requests, so the speedup gates live here, on the
+      median pair ratio: fifo (the highest events-per-second scheduler,
+      nothing batched to amortize the scalar loop) at 5x; dynamic and
+      continuous at 6x — their kernels resolve batch costs through dense
+      ``BatchCostModel.cost_table`` lookups, so they carry the same
+      columnar headroom as fifo rather than paying a per-launch cost-model
+      call.
     * ``trace_1m`` / ``trace_1m_served`` — 10^6 requests (10^5 under
       ``--quick``) on the fast backend in a subprocess, reporting wall time
       and peak RSS: once 2x oversubscribed (the RSS high-water mark) and
@@ -297,6 +358,7 @@ def bench_serving_1m(quick: bool = False) -> dict:
 
     crosscheck_n = 10_000 if quick else 100_000
     trace_n = 100_000 if quick else 1_000_000
+    pairs = 1 if quick else GATE_PAIRS
 
     def build(scheduler: str, backend: str) -> ServingEngine:
         config = ServingConfig(
@@ -312,22 +374,13 @@ def bench_serving_1m(quick: bool = False) -> dict:
             "poisson", rate, crosscheck_n, rng=np.random.default_rng(0),
             decode_steps=(1, 4),
         )
-        fast_s, fast_result = timed(
-            lambda: fast_engine.run(trace, offered_rate_rps=rate)
+        _, timing = timed_pairs(
+            lambda: fast_engine.run(trace, offered_rate_rps=rate),
+            lambda: build(scheduler, "reference").run(trace, offered_rate_rps=rate),
+            equal_on_rail(scheduler, "columnar"),
+            pairs,
         )
-        reference_s, reference_result = timed(
-            lambda: build(scheduler, "reference").run(trace, offered_rate_rps=rate)
-        )
-        assert fast_result == reference_result, (
-            f"fast backend diverged from reference ({scheduler})!"
-        )
-        crosschecks[scheduler] = {
-            "num_requests": crosscheck_n,
-            "reference_s": round(reference_s, 4),
-            "fast_s": round(fast_s, 4),
-            "speedup": round(reference_s / fast_s, 2),
-            "byte_identical": True,
-        }
+        crosschecks[scheduler] = {"num_requests": crosscheck_n, **timing}
 
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
 
@@ -396,8 +449,10 @@ def bench_cluster_1m(quick: bool = False) -> dict:
     """The fleet-scale tier: the columnar cluster fast path at 10^5-10^6.
 
     * ``crosscheck`` — a 4-replica round-robin fifo fleet at 10^5 requests
-      (10^4 under ``--quick``), fast vs reference router in-process, the
-      full ``ClusterResult`` asserted equal under the same record cap.  The
+      (10^4 under ``--quick``), fast vs reference router in-process over
+      ``GATE_PAIRS`` alternating pairs (one under ``--quick``), the full
+      ``ClusterResult`` asserted equal on every pair under the same record
+      cap; every gate below reads the median pair ratio.  The
       reference heap cannot reasonably run 10^6 fleet events, so the >= 5x
       speedup gate lives here.
     * ``crosscheck_faulted`` — the same fleet under the dynamic scheduler
@@ -427,6 +482,7 @@ def bench_cluster_1m(quick: bool = False) -> dict:
     crosscheck_n = 10_000 if quick else 100_000
     fleet_n = 100_000 if quick else 1_000_000
     replicas = 4
+    pairs = 1 if quick else GATE_PAIRS
 
     def build(
         backend: str, faulted: bool = False, policy: str = "round-robin"
@@ -458,55 +514,42 @@ def bench_cluster_1m(quick: bool = False) -> dict:
         "poisson", rate, crosscheck_n, rng=np.random.default_rng(0),
         decode_steps=(1, 4),
     )
-    fast_s, fast_result = timed(lambda: fast_router.run(trace, offered_rate_rps=rate))
-    reference_s, reference_result = timed(
-        lambda: build("reference").run(trace, offered_rate_rps=rate)
+    _, fleet_timing = timed_pairs(
+        lambda: fast_router.run(trace, offered_rate_rps=rate),
+        lambda: build("reference").run(trace, offered_rate_rps=rate),
+        equal_on_rail("round-robin fleet", "columnar"),
+        pairs,
     )
-    assert fast_result == reference_result, "fast cluster diverged from reference!"
 
     served_rate = _SERVED_FACTOR * fast_router.fleet_capacity_rps()
     served_trace = make_trace(
         "poisson", served_rate, crosscheck_n, rng=np.random.default_rng(0),
         decode_steps=(1, 4),
     )
-    faulted_fast_s, faulted_fast = timed(
+    faulted_fast, faulted_timing = timed_pairs(
         lambda: build("fast", faulted=True).run(
             served_trace, offered_rate_rps=served_rate
-        )
-    )
-    faulted_reference_s, faulted_reference = timed(
+        ),
         lambda: build("reference", faulted=True).run(
             served_trace, offered_rate_rps=served_rate
-        )
-    )
-    assert faulted_fast == faulted_reference, (
-        "faulted fast cluster diverged from reference!"
-    )
-    assert faulted_fast.backend_used == "columnar-faulted", (
-        f"faulted crosscheck rode {faulted_fast.backend_used!r},"
-        " not the faulted rail"
+        ),
+        equal_on_rail("faulted fleet", "columnar-faulted"),
+        pairs,
     )
     assert faulted_fast.num_retries > 0, (
         "faulted crosscheck produced no retries — the crash window missed"
         " the trace, so nothing was exercised"
     )
 
-    least_loaded_fast_s, least_loaded_fast = timed(
+    _, least_loaded_timing = timed_pairs(
         lambda: build("fast", policy="least-loaded").run(
             served_trace, offered_rate_rps=served_rate
-        )
-    )
-    least_loaded_reference_s, least_loaded_reference = timed(
+        ),
         lambda: build("reference", policy="least-loaded").run(
             served_trace, offered_rate_rps=served_rate
-        )
-    )
-    assert least_loaded_fast == least_loaded_reference, (
-        "least-loaded fast cluster diverged from reference!"
-    )
-    assert least_loaded_fast.backend_used == "columnar", (
-        f"least-loaded crosscheck rode {least_loaded_fast.backend_used!r},"
-        " not the columnar rail"
+        ),
+        equal_on_rail("least-loaded fleet", "columnar"),
+        pairs,
     )
 
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
@@ -519,10 +562,7 @@ def bench_cluster_1m(quick: bool = False) -> dict:
         "crosscheck": {
             "num_requests": crosscheck_n,
             "num_replicas": replicas,
-            "reference_s": round(reference_s, 4),
-            "fast_s": round(fast_s, 4),
-            "speedup": round(reference_s / fast_s, 2),
-            "byte_identical": True,
+            **fleet_timing,
         },
         "crosscheck_faulted": {
             "num_requests": crosscheck_n,
@@ -533,20 +573,14 @@ def bench_cluster_1m(quick: bool = False) -> dict:
             "timeout_ms": 20.0,
             "num_retries": faulted_fast.num_retries,
             "num_failed": faulted_fast.num_failed,
-            "reference_s": round(faulted_reference_s, 4),
-            "fast_s": round(faulted_fast_s, 4),
-            "speedup": round(faulted_reference_s / faulted_fast_s, 2),
-            "byte_identical": True,
+            **faulted_timing,
         },
         "crosscheck_least_loaded": {
             "num_requests": crosscheck_n,
             "num_replicas": replicas,
             "policy": "least-loaded",
             "load_factor": _SERVED_FACTOR,
-            "reference_s": round(least_loaded_reference_s, 4),
-            "fast_s": round(least_loaded_fast_s, 4),
-            "speedup": round(least_loaded_reference_s / least_loaded_fast_s, 2),
-            "byte_identical": True,
+            **least_loaded_timing,
         },
         "fleet_1m": {"num_requests": fleet_n, "num_replicas": replicas, **fleet_1m},
     }

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.device import DeviceKind
     from repro.ir.graph import Graph
-    from repro.ir.node import Node
     from repro.ops.base import OpCategory, OpCost
     from repro.ir.dtype import DType
 
@@ -78,12 +77,6 @@ class KernelDraft:
     @property
     def fused(self) -> bool:
         return len(self.node_ids) > 1
-
-    def single_node(self, graph: "Graph") -> "Node | None":
-        """The draft's node when it wraps exactly one, else None."""
-        if len(self.node_ids) != 1:
-            return None
-        return graph.nodes[self.node_ids[0]]
 
     def tag(self, label: str) -> None:
         """Record a provenance annotation (inspect/debug paths only)."""

@@ -123,12 +123,6 @@ class ExecutionPlan:
             self.__dict__["_covered_node_count"] = cached
         return cached
 
-    def covered_node_ids(self) -> set[int]:
-        covered: set[int] = set()
-        for kernel in self.kernels:
-            covered.update(kernel.node_ids)
-        return covered
-
     def validate(self) -> None:
         """Every compute node appears in exactly one kernel; order respects deps."""
         graph = self.graph.materialize()

@@ -13,24 +13,19 @@ for host kernels (fallback ops pull operands off the accelerator), the host
 CPU for accelerator kernels (sync readbacks) — which reduces to the historic
 single PCIe hop on two-device platforms.
 
-Two implementations produce bit-identical results:
-
-* :func:`simulate` — the production path.  It lifts the plan into per-kernel
-  numpy arrays (built once per plan and cached on it) and estimates every
-  kernel in one :func:`~repro.hardware.cost_model.estimate_kernels_batch`
-  call, so a 10k-kernel plan costs a handful of array operations instead of
-  10k Python-level roofline evaluations.
-* :func:`simulate_reference` — the original kernel-by-kernel loop over the
-  scalar :func:`~repro.hardware.cost_model.estimate_kernel`.  It is kept as
-  the executable specification; the equivalence tests assert the vectorized
-  path matches it exactly on every registered platform.
+The production :func:`simulate` lifts the plan into per-kernel numpy arrays
+(built once per plan and cached on it) and estimates every kernel in one
+:func:`~repro.hardware.cost_model.estimate_kernels_batch` call, so a
+10k-kernel plan costs a handful of array operations instead of 10k
+Python-level roofline evaluations.  Its executable specification, the
+original kernel-by-kernel loop over a scalar roofline, lives with the tests
+(``tests/oracles/simulator.py``); the equivalence tests assert the two
+match bit for bit on every registered platform.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -45,11 +40,9 @@ from repro.hardware.calibration import (
 from repro.hardware.cost_model import (
     BatchEstimates,
     LatencyEstimate,
-    estimate_kernel,
     estimate_kernels_batch,
 )
 from repro.hardware.device import DeviceKind, DeviceSpec
-from repro.hardware.energy import EnergyAccumulator
 from repro.hardware.platform import Platform
 from repro.ir.dtype import DType
 from repro.ops.base import OpCategory
@@ -325,29 +318,29 @@ class SimulationResult:
     platform's device kinds to joules; the historical ``gpu_energy_j`` /
     ``cpu_energy_j`` fields remain as read-only views into it.
 
-    The vectorized simulator stores per-kernel latencies and bound labels as
-    arrays; the :attr:`records` list of :class:`KernelRecord` objects is
-    materialized lazily for callers that want the object view.
+    Per-kernel latencies and bound labels are stored as arrays; the
+    :attr:`records` list of :class:`KernelRecord` objects is materialized
+    lazily for callers that want the object view.
     """
 
     def __init__(
         self,
         plan: ExecutionPlan,
         platform: Platform,
-        records: list[KernelRecord] | None = None,
-        total_latency_s: float = 0.0,
-        energy_j: dict[DeviceKind, float] | None = None,
-        estimates: BatchEstimates | None = None,
-        transfer_s: np.ndarray | None = None,
+        total_latency_s: float,
+        energy_j: dict[DeviceKind, float],
+        estimates: BatchEstimates,
+        transfer_s: np.ndarray,
     ):
         self.plan = plan
         self.platform = platform
         self.total_latency_s = total_latency_s
-        self.energy_j: dict[DeviceKind, float] = dict(energy_j or {})
-        self._records = records
-        self._estimates = estimates
+        self.energy_j = energy_j
+        #: the per-kernel roofline estimates, one array entry per kernel.
+        self.estimates = estimates
         self._transfer_s = transfer_s
         self._latencies: np.ndarray | None = None
+        self._records: list[KernelRecord] | None = None
 
     @property
     def gpu_energy_j(self) -> float:
@@ -362,33 +355,20 @@ class SimulationResult:
         return self.total_latency_s * 1e3
 
     @property
-    def estimates(self) -> BatchEstimates | None:
-        """The vectorized per-kernel estimates (None for reference runs)."""
-        return self._estimates
-
-    @property
     def latencies(self) -> np.ndarray:
         """Per-kernel wall-clock latency (estimate + transfers), float64."""
         if self._latencies is None:
-            if self._estimates is not None and self._transfer_s is not None:
-                self._latencies = self._estimates.total_s + self._transfer_s
-            else:
-                self._latencies = np.array(
-                    [r.latency_s for r in self.records], dtype=np.float64
-                )
+            self._latencies = self.estimates.total_s + self._transfer_s
         return self._latencies
 
     def bound_labels(self) -> list[str]:
         """Per-kernel roofline bound ("dispatch"/"launch"/"compute"/"memory")."""
-        if self._estimates is not None:
-            return self._estimates.bound_labels()
-        return [r.estimate.bound for r in self.records]
+        return self.estimates.bound_labels()
 
     @property
     def records(self) -> list[KernelRecord]:
         if self._records is None:
-            estimates, transfers = self._estimates, self._transfer_s
-            assert estimates is not None and transfers is not None
+            estimates, transfers = self.estimates, self._transfer_s
             self._records = [
                 KernelRecord(
                     kernel=kernel,
@@ -398,27 +378,6 @@ class SimulationResult:
                 for i, kernel in enumerate(self.plan.kernels)
             ]
         return self._records
-
-
-#: active simulation backend; flipped by :func:`use_reference_backend` so
-#: benchmarks can time the scalar path through the exact same call sites.
-_BACKEND = "vectorized"
-
-
-@contextmanager
-def use_reference_backend() -> Iterator[None]:
-    """Route :func:`simulate` through the scalar reference implementation.
-
-    For benchmarking and validation only — results are bit-identical, just
-    orders of magnitude more Python work.
-    """
-    global _BACKEND
-    previous = _BACKEND
-    _BACKEND = "reference"
-    try:
-        yield
-    finally:
-        _BACKEND = previous
 
 
 def _raise_missing_devices(
@@ -444,12 +403,8 @@ def _raise_missing_devices(
 
 
 def simulate(plan: ExecutionPlan, platform: Platform) -> SimulationResult:
-    """Estimate the wall-clock timeline of ``plan`` on ``platform``.
-
-    Vectorized over all kernels; bit-identical to :func:`simulate_reference`.
-    """
-    if _BACKEND == "reference":
-        return simulate_reference(plan, platform)
+    """Estimate the wall-clock timeline of ``plan`` on ``platform``,
+    vectorized over all kernels."""
     arrays = plan_arrays(plan)
     tables = _device_tables(platform)
     didx = arrays.device_idx
@@ -531,59 +486,20 @@ def _device_energy(
     device_s: np.ndarray,
     wall_s: float,
 ) -> float:
-    """Two-term power model over one device's kernels (see hardware.energy)."""
+    """Energy of one device over a simulated run (Fig. 5 of the paper).
+
+    The paper reports *GPU* energy for end-to-end inference on the
+    data-center platform.  A two-term power model is integrated over the
+    simulated timeline::
+
+        E = P_idle * T_wall  +  sum_k (P_peak - P_idle) * util_k * t_k
+
+    where the sum ranges over kernels executed *on that device* (``mask``).
+    Utilization of a kernel is the fraction of its busy time spent at peak
+    rate (from the roofline estimate), so launch-bound kernels draw little
+    dynamic power while saturated GEMMs draw close to peak.
+    """
     dynamic_power = device.peak_power_w - device.idle_power_w
     contributions = np.where(mask, dynamic_power * utilization * device_s, 0.0)
     dynamic_j = float(np.cumsum(contributions)[-1]) if len(contributions) else 0.0
     return device.idle_power_w * wall_s + dynamic_j
-
-
-def simulate_reference(plan: ExecutionPlan, platform: Platform) -> SimulationResult:
-    """Kernel-by-kernel scalar simulation — the reference implementation.
-
-    The vectorized :func:`simulate` must match this exactly; equivalence is
-    enforced by ``tests/test_sweep.py``.
-    """
-    profile = dispatch_profile(plan.dispatch_profile)
-    result = SimulationResult(plan=plan, platform=platform, records=[])
-    accumulators = {spec.kind: EnergyAccumulator(spec) for spec in platform.devices}
-    target = plan.target
-
-    for kernel in plan.kernels:
-        device = platform.device(kernel.device)
-        estimate = estimate_kernel(
-            device=device,
-            category=kernel.category,
-            cost=kernel.cost,
-            dtype=kernel.dtype,
-            dispatch_s=profile.dispatch_for(device.kind, kernel.metadata_only),
-            is_custom=kernel.is_custom,
-            metadata_only=kernel.metadata_only,
-            launch_count=kernel.launch_count,
-            gemm_peak_scale_f32=plan.gemm_peak_scale_f32,
-            gemm_saturation_scale=plan.gemm_saturation_scale,
-        )
-        peer = _transfer_peer(target, kernel.device)
-        transfer_s = 0.0
-        if kernel.transfer_bytes_in:
-            transfer_s += (
-                platform.transfer_time(peer, kernel.device, kernel.transfer_bytes_in)
-                + FALLBACK_SYNC_S
-            )
-        if kernel.transfer_bytes_out:
-            transfer_s += (
-                platform.transfer_time(kernel.device, peer, kernel.transfer_bytes_out)
-                + FALLBACK_SYNC_S
-            )
-        record = KernelRecord(kernel=kernel, estimate=estimate, transfer_s=transfer_s)
-        result.records.append(record)
-        result.total_latency_s += record.latency_s
-        accumulator = accumulators.get(kernel.device)
-        if accumulator is not None:
-            accumulator.add_kernel(estimate)
-
-    wall = result.total_latency_s
-    result.energy_j = {
-        kind: accumulator.total_j(wall) for kind, accumulator in accumulators.items()
-    }
-    return result

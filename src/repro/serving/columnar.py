@@ -154,29 +154,6 @@ class _Run:
                 max(admit_depth.max(initial=0), sample_depth.max(initial=0))
             )
 
-    # -- per-dispatch bookkeeping (scalar kernels) --------------------------
-
-    def note_depth(self, time_s: float, depth: int) -> None:
-        if self.full:
-            self.timeline.append((time_s, depth))
-        else:
-            self.depth_count += 1
-            self.depth_sum += depth
-            if depth > self.depth_max:
-                self.depth_max = depth
-
-    def account_dispatch(self, cost, size: int, iterations: int) -> None:
-        """The reference loop's per-dispatch accounting, verbatim."""
-        for kind, seconds in cost.busy_s.items():
-            self.busy[kind] += seconds * iterations
-        for kind, joules in cost.energy_j.items():
-            self.energy[kind] += joules * iterations
-        self.gemm += cost.gemm_s * iterations
-        self.non_gemm += cost.non_gemm_s * iterations
-        self.dispatches += 1
-        self.iterations += iterations
-        self.weighted += size * iterations
-
     # -- result assembly ----------------------------------------------------
 
     def finalize(

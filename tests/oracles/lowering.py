@@ -5,8 +5,8 @@ exactly as it existed before lowering was decomposed into
 :mod:`repro.flows.passes`.  Only tests use it — the equivalence suite
 (``tests/test_passes.py``) lowers every registered model
 through both implementations and asserts the plans match kernel-for-kernel,
-the same role :func:`repro.runtime.simulator.simulate_reference` plays for
-the vectorized simulator.
+the same role ``tests/oracles/simulator.py`` plays for the vectorized
+simulator.
 """
 
 from __future__ import annotations

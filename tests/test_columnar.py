@@ -16,8 +16,6 @@ quantile estimator on adversarial samples.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 

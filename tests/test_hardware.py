@@ -1,4 +1,9 @@
-"""Unit tests for the hardware layer: devices, platforms, roofline, energy."""
+"""Unit tests for the hardware layer: devices, platforms, roofline, energy.
+
+The roofline and energy checks run against the scalar specification in
+``tests/oracles/simulator.py``, which the vectorized simulator matches bit
+for bit (``tests/test_sweep.py``).
+"""
 
 import numpy as np
 import pytest
@@ -13,14 +18,12 @@ from repro.hardware import (
     RYZEN_7940HS,
     XDNA_NPU,
     DeviceKind,
-    EnergyAccumulator,
     Link,
     Platform,
     as_device_kind,
     dispatch_profile,
     efficiency_for,
     efficiency_for_kind,
-    estimate_kernel,
     gemm_saturation,
     get_device,
     get_platform,
@@ -30,6 +33,7 @@ from repro.hardware import (
 )
 from repro.ir.dtype import DType
 from repro.ops.base import OpCategory, OpCost
+from tests.oracles.simulator import EnergyAccumulator, estimate_kernel
 
 
 class TestDevices:

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from repro import ops
 from repro.errors import ShapeError
 from repro.flows import FusionConfig, PyTorchEagerFlow, TensorRTFlow, fuse_graph, group_cost
-from repro.hardware import A100, EPYC_7763, estimate_kernel
+from repro.hardware import A100, EPYC_7763
 from repro.ir import DType, Graph, TensorSpec, broadcast_shapes
 from repro.ops.base import OpCategory, OpCost
 from repro.runtime import run_graph
 from tests.conftest import run_op
+from tests.oracles.simulator import estimate_kernel
 
 dims = st.integers(min_value=1, max_value=8)
 shapes = st.lists(dims, min_size=1, max_size=4).map(tuple)

@@ -1,8 +1,14 @@
-"""Sweep engine tests: vectorized-vs-scalar equivalence, caching, specs."""
+"""Sweep engine tests: vectorized-vs-scalar equivalence, caching, specs.
+
+The scalar side is the executable specification in
+``tests/oracles/simulator.py``.
+"""
 
 from __future__ import annotations
 
 import gc
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -15,10 +21,12 @@ from repro.ir import Graph, TensorSpec
 from repro.models import build_model
 from repro.profiler import profile_graph
 from repro.runtime.memory import profile_memory
-from repro.runtime.simulator import simulate, simulate_reference, use_reference_backend
+from repro.runtime.simulator import simulate
 from repro.sweep.cache import PLAN_CACHE, GraphRef, PlanCache
 from repro.sweep.runner import SweepRunner, run_point
 from repro.sweep.spec import SweepPoint, SweepSpec
+from tests.oracles import simulator as oracle
+from tests.oracles.simulator import scalar_simulator, simulate_reference
 
 ALL_FLOWS = ("pytorch", "torchinductor", "tensorrt", "onnxruntime")
 SMALL_MODELS = ("swin-t", "segformer", "gpt2")
@@ -52,23 +60,74 @@ class TestVectorizedEquivalence:
             assert fast_rec.estimate == slow_rec.estimate
             assert fast_rec.transfer_s == slow_rec.transfer_s
 
-    def test_reference_backend_context(self, tiny_transformer_graph):
-        plan = get_flow("pytorch").lower(tiny_transformer_graph, use_gpu=True)
-        with use_reference_backend():
-            result = simulate(plan, PLATFORM_A)
-        assert result.estimates is None  # scalar path taken
-        assert result.total_latency_s == simulate(plan, PLATFORM_A).total_latency_s
 
-    def test_profile_matches_reference_backend(self):
+def _repro_bindings(value) -> list[tuple[str, str]]:
+    """Every (module, attribute) of a loaded ``repro`` module bound to ``value``."""
+    return sorted(
+        (name, attr)
+        for name, module in list(sys.modules.items())
+        if module is not None and (name == "repro" or name.startswith("repro."))
+        for attr, bound in vars(module).items()
+        if bound is value
+    )
+
+
+class TestScalarSimulator:
+    def test_rebinds_every_import_and_restores(self):
+        import repro.serving.cost  # noqa: F401  (a by-name importer of simulate)
+
+        bindings = _repro_bindings(simulate)
+        assert ("repro.runtime.simulator", "simulate") in bindings
+        assert ("repro.profiler.profiler", "simulate") in bindings
+        assert ("repro.serving.cost", "simulate") in bindings
+        with scalar_simulator():
+            assert _repro_bindings(simulate) == []
+            assert _repro_bindings(simulate_reference) == bindings
+        assert _repro_bindings(simulate) == bindings
+        assert _repro_bindings(simulate_reference) == []
+
+    def test_restores_bindings_made_inside_the_block(self, monkeypatch):
+        late = types.ModuleType("repro._late_importer")
+        monkeypatch.setitem(sys.modules, late.__name__, late)
+        with scalar_simulator():
+            # what a module first imported inside the block binds by name
+            from repro.runtime.simulator import simulate as bound
+
+            late.simulate = bound
+            assert late.simulate is simulate_reference
+        assert late.simulate is simulate
+
+    def test_restores_on_exception(self):
+        bindings = _repro_bindings(simulate)
+        with pytest.raises(RuntimeError, match="boom"):
+            with scalar_simulator():
+                raise RuntimeError("boom")
+        assert _repro_bindings(simulate) == bindings
+        assert _repro_bindings(simulate_reference) == []
+
+    def test_profile_routes_through_oracle(self, monkeypatch):
+        calls = []
+
+        def counting(plan, platform):
+            calls.append(plan)
+            return simulate_reference(plan, platform)
+
+        monkeypatch.setattr(oracle, "simulate_reference", counting)
         graph = build_model("swin-t", batch_size=1)
         flow = get_flow("pytorch")
         fast = profile_graph(graph, flow, PLATFORM_A, use_gpu=True, iterations=3, seed=7)
-        with use_reference_backend():
+        assert calls == []
+        with scalar_simulator():
             slow = profile_graph(graph, flow, PLATFORM_A, use_gpu=True, iterations=3, seed=7)
+        assert len(calls) == 1
+        assert len(calls[0].kernels) == fast.num_kernels
         assert fast.total_latency_s == slow.total_latency_s
         assert fast.gpu_energy_j == slow.gpu_energy_j
         assert fast.latency_by_group() == slow.latency_by_group()
         assert fast.records == slow.records
+        # the production path is back once the block exits
+        profile_graph(graph, flow, PLATFORM_A, use_gpu=True, iterations=3, seed=7)
+        assert len(calls) == 1
 
 
 class TestPlatformBitIdentity:
